@@ -38,8 +38,9 @@ class HomogenizationResult:
     """Extrapolated cell-problem limit and its per-N evidence.
 
     ``f_values`` are energy / (N^d * |det A|), i.e. already in density
-    units; ``w_cont`` is the nonnegative intercept of the 1/N fit (clipped
-    at zero with ``clipped`` set when the raw intercept is negative).
+    units; ``w_cont`` is the intercept of the 1/N fit.  For a model marked
+    ``nonnegative`` a negative intercept is clipped to zero and ``clipped``
+    is set; any other model keeps its raw, possibly negative, intercept.
     """
 
     M: np.ndarray
@@ -77,7 +78,8 @@ def w_cont_estimate(model: EnergyModel, M, schedule, opts: SolveOptions | None =
     """Extrapolate the cell-problem sequence over a schedule of box sizes.
 
     Fits f_N = w + a/N by least squares in density units; the intercept,
-    clipped at zero, is the continuum density estimate.
+    clipped at zero for nonnegative models, is the continuum density
+    estimate.
     """
     opts = opts or SolveOptions()
     schedule = [int(N) for N in schedule]
@@ -98,6 +100,9 @@ def w_cont_estimate(model: EnergyModel, M, schedule, opts: SolveOptions | None =
             "converged": result.converged,
             "grad_norm": result.grad_norm,
             "start_label": result.start_label,
+            "stop": result.stop,
+            "n_evals": result.n_evals,
+            "failed_starts": result.failed_starts,
         })
     f_vals = np.asarray(f_vals)
 
@@ -114,13 +119,13 @@ def w_cont_estimate(model: EnergyModel, M, schedule, opts: SolveOptions | None =
     if np.any(rises > 1e-9 + 0.05 * (np.abs(f_vals).max() + 1e-15)):
         warnings.append("f_N increases along the schedule (no relaxation gain)")
 
-    clipped = intercept < 0
+    clipped = bool(model.nonnegative and intercept < 0)
     if clipped:
         warnings.append("negative fit intercept clipped to zero")
     return HomogenizationResult(
         M=M, s0=None if s0 is None else np.asarray(s0, dtype=float),
         schedule=schedule, f_values=f_vals,
-        w_cont=max(intercept, 0.0), fit_coeff=slope, fit_residual=residual,
+        w_cont=0.0 if clipped else intercept, fit_coeff=slope, fit_residual=residual,
         per_N=diag, warnings=warnings, clipped=clipped,
     )
 

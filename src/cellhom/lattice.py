@@ -250,7 +250,8 @@ def build_grid(spec: LatticeSpec, N: int) -> CellGrid:
 
     interior_multi = cell_multi[interior_mask]                     # (n_int, d)
     idx = interior_multi[:, None, :] + spec.offsets_int[None, :, :]
-    assert idx.min() >= 0 and idx.max() <= N
+    if idx.min() < 0 or idx.max() > N:
+        raise ValueError("stencil reaches outside the box")
     interior_cell_sites = np.ravel_multi_index(
         tuple(idx[..., axis] for axis in range(d)), (N + 1,) * d
     )

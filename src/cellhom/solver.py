@@ -6,11 +6,17 @@ mean value is prescribed for the internal shifts, the deviations from it
 are parametrized on the mean-zero subspace (differences against the last
 interior cell), so the constraint holds identically along all iterates.
 
-The minimizer is a limited-memory quasi-Newton descent with a backtracking
-line search (sufficient-decrease constant 1e-4, halving steps).  Accepted
-energies are monotone nonincreasing and pinned coordinates never change.
-Everything is deterministic given the options, including the random warm
-starts, which draw from per-start counter-based generators.
+The minimizer is a limited-memory quasi-Newton descent.  Its line search
+tries the unit step first.  A step whose energy rises above the rounding
+floor of the current energy, 1e-12 (1 + |E|), is halved on energies alone
+until the Armijo test (constant 1e-4) holds.  A step that fails the Armijo
+test but stays within that floor cannot be ranked by energy any more; it
+is bracketed and bisected on the directional derivative instead, until the
+approximate Wolfe conditions of Hager & Zhang (SIAM J. Optim. 16 (2005)
+170-192) hold.  Accepted energies never rise above that floor, and pinned
+coordinates never change.  Everything is deterministic given the options,
+including the random warm starts, which draw from per-start counter-based
+generators.  Each result records why its search stopped.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ __all__ = [
     "site_forces",
     "minimize",
     "buckling_start",
+    "start_fields",
     "multi_start_minimize",
     "DivergedEvaluation",
 ]
@@ -69,6 +76,9 @@ class SolveResult:
     converged: bool
     grad_norm: float
     start_label: str
+    stop: str                       # converged | max_iter | line_search_stall
+    n_evals: int                    # energy and energy-gradient evaluations
+    failed_starts: list = field(default_factory=list)  # multistart labels that diverged
 
 
 class Problem:
@@ -222,8 +232,66 @@ def site_forces(problem: Problem, x):
 # ---------------------------------------------------------------------------
 
 _ARMIJO = 1e-4
+_WOLFE_SIGMA = 0.9        # curvature constant of the approximate Wolfe test
+_WOLFE_DELTA = 0.1        # its decrease constant: phi'(t) <= (2 delta - 1) phi'(0)
+_ENERGY_FLOOR = 1e-12     # relative rounding tolerance of a total energy
 _BACKTRACK = 0.5
-_MAX_BACKTRACKS = 60
+_MAX_BACKTRACKS = 60      # trial evaluations per line search after the unit step
+
+
+def _line_search(problem: Problem, x, E, direction, slope):
+    """One step along ``direction`` from ``x``; slope = phi'(0) < 0.
+
+    Returns ``(x_new, E_new, g_new, evals)``, with ``x_new = None`` when no
+    acceptable step was found.  A trial that diverges counts as too long.
+    """
+    floor = E + _ENERGY_FLOOR * (1.0 + abs(E))
+
+    def trial(t):
+        try:
+            return problem.value_and_grad(x + t * direction)
+        except DivergedEvaluation:
+            return np.inf, None
+
+    E_t, g_t = trial(1.0)
+    evals = 1
+    if E_t <= E + _ARMIJO * slope:
+        return x + direction, E_t, g_t, evals
+
+    if E_t <= floor:
+        # Below the rounding floor energies cannot rank steps: bracket and
+        # bisect on phi'(t) = g(x + t d) . d instead.
+        lo, hi, t = 0.0, np.inf, 1.0
+        while True:
+            if E_t > floor:
+                hi = t
+            else:
+                dphi = g_t @ direction
+                if dphi < _WOLFE_SIGMA * slope:
+                    lo = t
+                elif dphi > (2.0 * _WOLFE_DELTA - 1.0) * slope:
+                    hi = t
+                else:
+                    return x + t * direction, E_t, g_t, evals
+            if evals > _MAX_BACKTRACKS:
+                return None, E, None, evals
+            t = 2.0 * t if hi == np.inf else 0.5 * (lo + hi)
+            E_t, g_t = trial(t)
+            evals += 1
+
+    t = 1.0
+    for _ in range(_MAX_BACKTRACKS):
+        t *= _BACKTRACK
+        x_t = x + t * direction
+        try:
+            E_t = problem.energy_only(x_t)
+        except DivergedEvaluation:
+            E_t = np.inf
+        evals += 1
+        if E_t <= E + _ARMIJO * t * slope:
+            E_t, g_t = problem.value_and_grad(x_t)
+            return x_t, E_t, g_t, evals + 1
+    return None, E, None, evals
 
 
 def minimize(problem: Problem, opts: SolveOptions, start: Deformation,
@@ -231,21 +299,24 @@ def minimize(problem: Problem, opts: SolveOptions, start: Deformation,
              start_label: str = "custom") -> SolveResult:
     """Limited-memory quasi-Newton descent from one start.
 
-    Terminates when the gradient sup-norm drops below ``opts.grad_tol`` or
-    the iteration cap is hit; a stalled line search returns the best
-    iterate with ``converged = False``.  The accepted energy sequence is
-    nonincreasing by construction.
+    Terminates when the gradient sup-norm drops below ``opts.grad_tol``
+    (``stop = "converged"``), when the iteration cap is hit (``"max_iter"``)
+    or when the line search finds no step (``"line_search_stall"``); the
+    last accepted iterate is returned.  No accepted energy exceeds the
+    previous one by more than its rounding floor.
     """
     x = problem.start_vector(start, internal_start)
     E, g = problem.value_and_grad(x)
+    n_evals = 1
+    if g.size == 0:
+        return SolveResult(E, problem.deformation(x), problem.internal_field(x),
+                           0, True, 0.0, start_label, "converged", n_evals)
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
     rho_hist: list[float] = []
     iterations = 0
-    converged = bool(np.max(np.abs(g)) <= opts.grad_tol) if g.size else True
-    if g.size == 0:
-        return SolveResult(E, problem.deformation(x), problem.internal_field(x),
-                           0, True, 0.0, start_label)
+    converged = bool(np.max(np.abs(g)) <= opts.grad_tol)
+    stop = "max_iter"
 
     while not converged and iterations < opts.max_iter:
         q = -g
@@ -269,34 +340,13 @@ def minimize(problem: Problem, opts: SolveOptions, start: Deformation,
             y_hist.clear()
             rho_hist.clear()
 
-        # Evaluate the gradient together with the first (usually accepted)
-        # unit-step trial; fall back to energy-only backtracking otherwise.
-        t = 1.0
-        ok = False
-        g_new = None
-        x_new = x + direction
-        try:
-            E_new, g_new = problem.value_and_grad(x_new)
-        except DivergedEvaluation:
-            E_new = np.inf
-        if E_new <= E + _ARMIJO * slope:
-            ok = True
-        else:
-            for _ in range(_MAX_BACKTRACKS):
-                t *= _BACKTRACK
-                x_new = x + t * direction
-                try:
-                    E_new = problem.energy_only(x_new)
-                except DivergedEvaluation:
-                    E_new = np.inf
-                if E_new <= E + _ARMIJO * t * slope:
-                    ok = True
-                    break
-            if ok:
-                E_new, g_new = problem.value_and_grad(x_new)
-        if not ok:
+        x_new, E_new, g_new, evals = _line_search(problem, x, E, direction, slope)
+        n_evals += evals
+        if x_new is None:
+            stop = "line_search_stall"
             break
-        assert E_new <= E + 1e-12 * (1.0 + abs(E))
+        if not E_new <= E + _ENERGY_FLOOR * (1.0 + abs(E)):
+            raise RuntimeError(f"line search raised the energy from {E!r} to {E_new!r}")
         s_v = x_new - x
         y_v = g_new - g
         sy = s_v @ y_v
@@ -320,6 +370,8 @@ def minimize(problem: Problem, opts: SolveOptions, start: Deformation,
         converged=converged,
         grad_norm=float(np.max(np.abs(g))),
         start_label=start_label,
+        stop="converged" if converged else stop,
+        n_evals=n_evals,
     )
 
 
@@ -369,12 +421,11 @@ def _min_bond_length(problem: Problem, x) -> float:
     return float(L[:, iu[0], iu[1]].min())
 
 
-def multi_start_minimize(problem: Problem, opts: SolveOptions) -> SolveResult:
-    """Affine, buckling and randomized starts; lowest energy wins.
-
-    Converged results are preferred; among equal energies the earliest
-    start wins, which keeps the reduction deterministic under any
-    execution order.
+def start_fields(problem: Problem, opts: SolveOptions):
+    """The starts of ``multi_start_minimize``, in order, as (label, deformation,
+    internal field): affine, buckling (2D, when it differs from affine) and
+    ``opts.n_random_starts`` random perturbations of the affine field.  A
+    start with a collapsed bond is jittered by 1e-6 so its gradient exists.
     """
     starts = []
     affine = apply_boundary(affine_deformation(problem.grid, problem.M),
@@ -408,24 +459,32 @@ def multi_start_minimize(problem: Problem, opts: SolveOptions) -> SolveResult:
             internal = InternalField(problem.grid, s, mean_target=None)
         starts.append((f"random-{k}", dfm, internal))
 
-    results = []
-    failures = []
     for idx, (label, dfm, internal) in enumerate(starts):
-        x0 = problem.start_vector(dfm, internal)
-        if _min_bond_length(problem, x0) < 1e-8:
+        if _min_bond_length(problem, problem.start_vector(dfm, internal)) < 1e-8:
             rng = _rng_for_start(opts.seed, 10_000 + idx)
             dfm = dfm.copy()
             dfm.y[problem.free_idx] += rng.uniform(
                 -1e-6, 1e-6, size=(problem.n_free, problem.d))
+            starts[idx] = (label, dfm, internal)
+    return starts
+
+
+def multi_start_minimize(problem: Problem, opts: SolveOptions) -> SolveResult:
+    """Minimize from every start of ``start_fields``; lowest energy wins.
+
+    The earliest start wins a tie, which keeps the reduction deterministic
+    under any execution order.  The winner keeps its own ``converged`` and
+    ``stop``; the labels of starts whose evaluation diverged are listed in
+    its ``failed_starts``.
+    """
+    results, failed = [], []
+    for label, dfm, internal in start_fields(problem, opts):
         try:
             results.append(minimize(problem, opts, dfm, internal, start_label=label))
-        except DivergedEvaluation as exc:
-            failures.append((label, exc))
+        except DivergedEvaluation:
+            failed.append(label)
     if not results:
-        raise DivergedEvaluation(
-            f"all starts failed: {', '.join(lbl for lbl, _ in failures)}")
-
-    pool = [(r.energy, i, r) for i, r in enumerate(results) if r.converged]
-    if not pool:
-        pool = [(r.energy, i, r) for i, r in enumerate(results)]
-    return min(pool, key=lambda t: (t[0], t[1]))[2]
+        raise DivergedEvaluation(f"all starts failed: {', '.join(failed)}")
+    best = min(results, key=lambda r: r.energy)   # first of equals: earliest start
+    best.failed_starts = failed
+    return best

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cellhom
 from cellhom.cli import main, parse_config, run
 
 
@@ -98,6 +101,11 @@ def test_run_homogenize_outputs(tmp_path):
         assert key in summary
     est = summary["results"]["estimates"][0]
     assert est["w_cont"] == pytest.approx(0.04, abs=0.01)
+    assert [d["N"] for d in est["per_N"]] == [4, 6, 8]
+    for entry in est["per_N"]:
+        assert entry["stop"] == "converged"
+        assert entry["failed_starts"] == []
+        assert entry["n_evals"] >= 1
 
     plot = (out / "plotdata" / "m0.csv").read_text().strip().splitlines()
     assert plot[0] == "N,inv_N,f_N"
@@ -160,3 +168,18 @@ def test_main_run(tmp_path):
     out = tmp_path / "cli_out"
     assert main(["run", str(path), "--out", str(out), "--threads", "1"]) == 0
     assert (out / "results.csv").exists()
+
+
+def test_validation_checks_survive_optimize_flag():
+    # python -O strips assert statements; a broken W_CB must still fail
+    code = ("import cellhom.homogenize as hm\n"
+            "from cellhom.cli import run_validation_suite\n"
+            "hm.cauchy_born_density = lambda *args, **kwargs: 0.0\n"
+            "print('RESULT', run_validation_suite(quick=True))\n")
+    src = os.path.dirname(os.path.dirname(cellhom.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "FAIL  affine density benchmark values" in proc.stdout
+    assert proc.stdout.strip().splitlines()[-1] == "RESULT False"

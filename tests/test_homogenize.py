@@ -3,8 +3,9 @@ import pytest
 
 from cellhom import (QuadraticForm, SolveOptions, cauchy_born_density,
                      cb_validity_scan, f_N, frobenius_squared_density,
-                     quadratic_form_model, quasiconvex_wrapper_model,
-                     square_lattice, tiling_upper_bound_check, w_cont_estimate,
+                     lennard_jones, pair_potential_model, quadratic_form_model,
+                     quasiconvex_wrapper_model, square_lattice,
+                     tiling_upper_bound_check, w_cont_estimate,
                      w_cont_min_over_s, w_cont_multilattice)
 
 from conftest import rotation
@@ -200,3 +201,17 @@ def test_benchmark_convergence_rate(harmonic):
         consts = [abs(f - t) * N for f, N in zip(est.f_values, est.schedule)]
         assert max(consts) <= 2.0
         assert max(consts) <= 3.0 * max(min(consts), 0.05)
+
+
+def test_lj_w_cont_keeps_negative_intercept():
+    # LJ energies are negative, so a negative intercept is a density, not
+    # a fit artefact to clip
+    model = pair_potential_model(square_lattice(), lennard_jones(1.0, 2 ** (-1 / 6)), 2.5)
+    M = np.array([[1.05, 0.05], [0.0, 1.0]])
+    est = w_cont_estimate(model, M, [8, 12, 16],
+                          SolveOptions(n_random_starts=0, max_iter=500))
+    assert est.clipped is False
+    assert est.w_cont < 0
+    assert est.w_cont == pytest.approx(-2.5594, abs=1e-3)
+    assert not any("clipped" in w for w in est.warnings)
+    assert [d["stop"] for d in est.per_N] == ["converged"] * 3

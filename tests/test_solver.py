@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from cellhom import (SolveOptions, affine_deformation, assemble, buckling_start,
-                     build_grid, energy_and_gradient, minimize,
-                     multi_start_minimize, site_forces, square_lattice)
+                     build_grid, energy_and_gradient, lennard_jones, minimize,
+                     multi_start_minimize, pair_potential_model, site_forces,
+                     square_lattice)
+from cellhom import solver
 from cellhom.fields import InternalField
+from cellhom.solver import DivergedEvaluation, start_fields
 
 from conftest import rotation
 
@@ -215,6 +218,106 @@ def test_rotation_boundary_reaches_floor(square_spec, harmonic):
     problem = assemble(grid, harmonic, rotation(0.7))
     res = multi_start_minimize(problem, SolveOptions())
     assert res.energy <= 1e-10
+
+
+def test_random_start_below_rounding_floor_converges(square_spec, harmonic):
+    # Harmonic tension, CELLHOM_SEED 13, N = 16: this start reaches a
+    # gradient sup-norm of 4e-8 within 100 gradient calls, after which no
+    # step decreases the energy by more than its rounding error.
+    grid = build_grid(square_spec, 16)
+    problem = assemble(grid, harmonic, np.diag([1.2, 1.0]))
+    opts = SolveOptions(n_random_starts=2, seed=13, max_iter=500)
+    starts = {label: (dfm, internal) for label, dfm, internal in start_fields(problem, opts)}
+    res = minimize(problem, opts, *starts["random-1"], start_label="random-1")
+    assert res.converged
+    assert res.stop == "converged"
+    assert res.iterations < 500
+
+
+def test_multistart_reports_lowest_energy(monkeypatch):
+    # random-1 reaches the lowest energy here; a search that stalls on it
+    # below the rounding floor, or a rule that prefers converged starts,
+    # reports random-0's higher energy instead
+    spec = square_lattice()
+    model = pair_potential_model(spec, lennard_jones(1.0, 2 ** (-1 / 6)), 2.5)
+    problem = assemble(build_grid(model.spec, 16), model, np.diag([1.05, 1.0]))
+    seen = []
+    real = solver.minimize
+
+    def record(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(solver, "minimize", record)
+    best = multi_start_minimize(problem, SolveOptions(n_random_starts=2))
+    assert [r.start_label for r in seen] == ["affine", "random-0", "random-1"]
+    assert best.energy == min(r.energy for r in seen)
+    assert best.stop == "converged"
+    assert best.failed_starts == []
+
+
+def test_multistart_selection_ignores_convergence(grid5, harmonic, monkeypatch):
+    plan = {"affine": (2.0, True), "random-0": (1.0, False),
+            "random-1": None, "random-2": (1.0, True)}
+
+    def fake(problem, opts, dfm, internal=None, start_label="custom"):
+        if plan[start_label] is None:
+            raise DivergedEvaluation("diverged evaluation")
+        energy, converged = plan[start_label]
+        return solver.SolveResult(energy, dfm, internal, 0, converged, 0.0, start_label,
+                                  "converged" if converged else "max_iter", 1)
+
+    monkeypatch.setattr(solver, "minimize", fake)
+    problem = assemble(grid5, harmonic, np.diag([1.2, 1.0]))
+    best = multi_start_minimize(problem, SolveOptions(n_random_starts=3))
+    assert best.start_label == "random-0"      # lowest energy, earliest of the tie
+    assert best.converged is False
+    assert best.stop == "max_iter"
+    assert best.failed_starts == ["random-1"]
+
+
+class FloorProblem:
+    """Energy frozen at its rounding floor with the gradient of
+    1.5 |x - 1|^2, so only slopes can rank steps; the L-BFGS unit step from
+    x = 0 overshoots to x = 3.  Evaluations with x[0] strictly inside
+    ``diverge`` raise."""
+
+    def __init__(self, diverge):
+        self.diverge = diverge
+
+    def start_vector(self, start, internal):
+        return np.zeros(2)
+
+    def value_and_grad(self, x):
+        if self.diverge[0] < x[0] < self.diverge[1]:
+            raise DivergedEvaluation("diverged evaluation")
+        return 1.0, 3.0 * (x - 1.0)
+
+    def energy_only(self, x):
+        return self.value_and_grad(x)[0]
+
+    def deformation(self, x):
+        return x.copy()
+
+    def internal_field(self, x):
+        return None
+
+
+def test_slope_search_steps_past_diverged_trial():
+    # the bisection's first trial, x = 1.5, diverges; the next, x = 0.75,
+    # meets the approximate Wolfe conditions
+    res = minimize(FloorProblem((1.4, 1.6)), FAST, None)
+    assert res.stop == "converged"
+    assert np.allclose(res.argmin, 1.0)
+
+
+def test_slope_search_stalls_when_every_trial_diverges():
+    res = minimize(FloorProblem((0.0, 2.9)), FAST, None)
+    assert res.stop == "line_search_stall"
+    assert not res.converged
+    assert res.iterations == 0
+    assert np.all(np.isfinite(res.argmin))
+    assert res.n_evals == 2 + solver._MAX_BACKTRACKS   # start, unit step, cap
 
 
 def test_options_validation():
