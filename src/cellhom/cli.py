@@ -1,13 +1,14 @@
 """Batch driver: JSON run configs in, CSV tables and a JSON summary out.
 
 Usage:
-    cellhom run <config.json> [--threads N] [--out DIR]
+    cellhom run <config.json> [--out DIR]
     cellhom validate [--quick]
 
 A config selects a lattice, a model, one task and its inputs.  Outputs are
 ``results.csv`` (one row per solved cell problem), ``summary.json``
 (extrapolations, gaps, residuals, solver metadata, config hash, and per
-box size the winner's stop reason, evaluation count and diverged starts) and
+box size the winner's stop reason, evaluation count and diverged starts,
+and every start's energy, stop reason and cost) and
 ``plotdata/*.csv`` (f_N against 1/N per boundary matrix).  Identical
 configs and seeds produce byte-identical results.csv; only the timestamp
 in summary.json varies between runs.
@@ -21,7 +22,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,37 +241,27 @@ def _s0_for(config, i):
     return config.s0_list[i]
 
 
-def _run_homogenize(config: RunConfig, threads: int):
-    def job(args):
-        i, M = args
+def _run_homogenize(config: RunConfig):
+    rows, summary, warnings, estimates = [], [], [], []
+    for i, M in enumerate(config.M_list):
         s0 = _s0_for(config, i)
         if config.model.m > 0 and s0 is not None:
-            return hm.w_cont_multilattice(config.model, M, s0, config.schedule,
-                                          config.solver)
-        if config.model.m > 0:
-            return hm.w_cont_min_over_s(config.model, M, config.schedule,
-                                        config.solver)
-        return hm.w_cont_estimate(config.model, M, config.schedule, config.solver)
-
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        estimates = list(ex.map(job, enumerate(config.M_list)))
-
-    rows, summary, warnings = [], [], []
-    for i, (M, est) in enumerate(zip(config.M_list, estimates)):
-        rows.extend(_result_rows("homogenize", config.model.name, M,
-                                 _s0_for(config, i), est))
+            est = hm.w_cont_multilattice(config.model, M, s0, config.schedule,
+                                         config.solver)
+        elif config.model.m > 0:
+            est = hm.w_cont_min_over_s(config.model, M, config.schedule, config.solver)
+        else:
+            est = hm.w_cont_estimate(config.model, M, config.schedule, config.solver)
+        rows.extend(_result_rows("homogenize", config.model.name, M, s0, est))
         summary.append(_est_summary(est))
         warnings.extend(est.warnings)
+        estimates.append(est)
     return rows, {"estimates": summary}, warnings, estimates
 
 
-def _run_cb_scan(config: RunConfig, threads: int):
-    def job(M):
-        return hm.cb_validity_scan(config.model, [M], config.schedule,
-                                   config.solver)[0]
-
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        scan = list(ex.map(job, config.M_list))
+def _run_cb_scan(config: RunConfig):
+    scan = hm.cb_validity_scan(config.model, config.M_list, config.schedule,
+                               config.solver)
 
     rows, table, warnings, estimates = [], [], [], []
     for M, entry in zip(config.M_list, scan):
@@ -290,7 +280,7 @@ def _run_cb_scan(config: RunConfig, threads: int):
     return rows, {"cb_table": table}, warnings, estimates
 
 
-def _run_elastic(config: RunConfig, threads: int):
+def _run_elastic(config: RunConfig):
     model = config.model
     W = lambda M: hm.cauchy_born_density(model, M)
     tensor = numeric_elastic_tensor(W, d=model.spec.d, h=1e-3)
@@ -312,7 +302,7 @@ def _run_elastic(config: RunConfig, threads: int):
     return rows, summary, [], []
 
 
-def _run_tiling(config: RunConfig, threads: int):
+def _run_tiling(config: RunConfig):
     n = config.schedule[0]
     checks = []
     for M in config.M_list:
@@ -331,9 +321,8 @@ def _run_tiling(config: RunConfig, threads: int):
     return rows, {"tiling": checks}, warnings, []
 
 
-def run(config: RunConfig, out_dir=".", threads=None) -> int:
+def run(config: RunConfig, out_dir=".") -> int:
     """Execute the configured task; write results.csv/summary.json/plotdata."""
-    threads = threads or os.cpu_count() or 1
     os.makedirs(out_dir, exist_ok=True)
 
     if config.task == "validate":
@@ -346,7 +335,7 @@ def run(config: RunConfig, out_dir=".", threads=None) -> int:
         "elastic": _run_elastic,
         "tiling_check": _run_tiling,
     }[config.task]
-    rows, results, warnings, estimates = runner(config, threads)
+    rows, results, warnings, estimates = runner(config)
 
     csv_path = os.path.join(out_dir, "results.csv")
     with open(csv_path, "w") as fh:
@@ -538,7 +527,6 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="execute a run config")
     p_run.add_argument("config", help="path to the JSON run config")
-    p_run.add_argument("--threads", type=int, default=None)
     p_run.add_argument("--out", default=".")
 
     p_val = sub.add_parser("validate", help="run the invariant suite")
@@ -547,7 +535,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         config = parse_config(args.config)
-        return run(config, out_dir=args.out, threads=args.threads)
+        return run(config, out_dir=args.out)
     if args.command == "validate":
         return 0 if run_validation_suite(quick=args.quick) else 1
     return 2

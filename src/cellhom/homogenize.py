@@ -103,6 +103,7 @@ def w_cont_estimate(model: EnergyModel, M, schedule, opts: SolveOptions | None =
             "stop": result.stop,
             "n_evals": result.n_evals,
             "failed_starts": result.failed_starts,
+            "starts": result.starts,
         })
     f_vals = np.asarray(f_vals)
 

@@ -98,7 +98,7 @@ class EnergyModel:
     def gradient_many(self, F, S=None):
         """Batched (dE/dF, dE/dS); shapes match the inputs."""
         F = np.asarray(F, dtype=float)
-        gF, gS = self._gradient(self._center(F), S)
+        _, (gF, gS) = self._energy_gradient(self._center(F), S)
         nc = self.spec.n_corners
         gF[:, :, :nc] -= gF.sum(axis=2, keepdims=True) / nc
         return gF, gS
@@ -598,11 +598,6 @@ class QuadraticForm:
         v = np.asarray(M).reshape(*np.asarray(M).shape[:-2], self.d * self.d)
         return 0.5 * np.einsum("...i,ij,...j->...", v, self.H, v)
 
-    def grad(self, M):
-        shp = np.asarray(M).shape
-        v = np.asarray(M).reshape(*shp[:-2], self.d * self.d)
-        return (v @ self.H.T).reshape(shp)
-
     def tensor(self):
         """Hessian entries as a (d, d, d, d) array: d^2 Q / dM_ij dM_kl."""
         return self.H.reshape(self.d, self.d, self.d, self.d)
@@ -681,8 +676,18 @@ def _smoothstep_deriv(u):
 
 
 class QuadraticFormModel(EnergyModel):
-    """det|A|*Q(sqrt(Fp^T Fp) - Id) + |Fr|^2 + chi, Fp/Fr the split of the
-    corner block into its best d x d gradient and the residual."""
+    """det|A|*Q(U - Id) + |Fr|^2 + chi, Fp/Fr the split of the corner block
+    into its best 2x2 gradient and the residual, U = sqrt(Fp^T Fp).
+
+    No eigensolve: with C = Fp^T Fp, U = (C + |det Fp| Id) / tau, where
+    tau = tr U = sqrt(tr C + 2|det Fp|) (Hoger & Carlson, Q. Appl. Math. 42
+    (1984) 113-117).  d Q(U - Id) / d Fp = 2 Fp T with U T + T U = S =
+    sym grad Q(U - Id); Cayley-Hamilton gives 2 tau U T = U S - S U + tau S
+    = tau (S + omega J), J = [[0, 1], [-1, 0]], and the polar factor is
+    R = (Fp + sgn(det Fp) cof Fp) / tau, so 2 Fp T = R (S + omega J).
+    Nothing divides by det U, so cells near det Fp = 0 stay exact to
+    rounding; at Fp = 0 (tau = 0) the stretch term has zero gradient.
+    """
 
     def __init__(self, spec, Q, kappa, delta):
         qmax = float(np.max(np.abs(np.linalg.eigvalsh(Q.H))))
@@ -698,67 +703,64 @@ class QuadraticFormModel(EnergyModel):
         self.kappa = kappa
         self.delta = delta
         Z = spec.corners
-        self._ZZT_inv = np.linalg.inv(Z @ Z.T)
-        self._proj = Z.T @ self._ZZT_inv @ Z        # n x n projector onto {MZ}
-        self._lift = Z.T @ self._ZZT_inv            # F' = F @ lift
+        self._lift = Z.T @ np.linalg.inv(Z @ Z.T)   # Fp = F @ lift
+        # Q on symmetric matrices [[x, y], [y, z]] is w^T K w / 2, w = (x, y, z)
+        P = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+        self._K = P.T @ (0.5 * (Q.H + Q.H.T)) @ P
 
-    def _split(self, F):
-        Fp = F @ self._lift           # (B, d, d)
-        Fr = F - Fp @ self.spec.corners
-        return Fp, Fr
+    def _energy(self, F, S):
+        return self._evaluate(F, grad=False)
 
-    def _chi_parts(self, Fp, F):
-        det = np.linalg.det(Fp)
+    def _energy_gradient(self, F, S):
+        return self._evaluate(F, grad=True)
+
+    def _evaluate(self, F, grad):
+        """Energies of a batch of cells and, with ``grad``, also (dE/dF, None);
+        Fp = [[a, b], [c, d]] and the formulas of the class docstring."""
+        B, _, n = F.shape
+        Fp = (F.reshape(2 * B, n) @ self._lift).reshape(B, 2, 2)
+        Fr = F - (Fp.reshape(2 * B, 2) @ self.spec.corners).reshape(B, 2, n)
+        a, b, c, d = Fp[:, 0, 0], Fp[:, 0, 1], Fp[:, 1, 0], Fp[:, 1, 1]
+        det = a * d - b * c
+        adet = np.abs(det)
+        C11 = a * a + c * c
+        C22 = b * b + d * d
+        tau = np.sqrt(C11 + C22 + 2.0 * adet)
+        inv_tau = np.divide(1.0, tau, out=np.zeros_like(tau), where=tau > 0)
+        x = (C11 + adet) * inv_tau - 1.0          # U - Id
+        y = (a * b + c * d) * inv_tau
+        z = (C22 + adet) * inv_tau - 1.0
+        K = self._K
+        S11 = K[0, 0] * x + K[0, 1] * y + K[0, 2] * z
+        S12 = 0.5 * (K[1, 0] * x + K[1, 1] * y + K[1, 2] * z)
+        S22 = K[2, 0] * x + K[2, 1] * y + K[2, 2] * z
+        scale = self.spec.det_abs
+        E1 = 0.5 * scale * (x * S11 + 2.0 * y * S12 + z * S22)
+
         u = (self.delta - det) / (0.5 * self.delta)
         h = _smoothstep(u)
         grow = 1.0 + np.sum(np.square(F), axis=(1, 2))
-        return det, h, grow
+        E = E1 + np.sum(np.square(Fr), axis=(1, 2)) + self.kappa * h * grow
+        if not grad:
+            return E
 
-    def _energy(self, F, S):
-        Fp, Fr = self._split(F)
-        C = np.swapaxes(Fp, 1, 2) @ Fp
-        lam, V = np.linalg.eigh(C)
-        lam = np.clip(lam, 0.0, None)
-        U = V @ (np.sqrt(lam)[..., None] * np.swapaxes(V, 1, 2))
-        E1 = self.spec.det_abs * self.Q.value(U - np.eye(self.spec.d))
-        E2 = np.sum(np.square(Fr), axis=(1, 2))
-        det, h, grow = self._chi_parts(Fp, F)
-        return E1 + E2 + self.kappa * h * grow
-
-    def _gradient(self, F, S):
-        d = self.spec.d
-        Fp, Fr = self._split(F)
-        C = np.swapaxes(Fp, 1, 2) @ Fp
-        lam, V = np.linalg.eigh(C)
-        lam = np.clip(lam, 0.0, None)
-        sq = np.sqrt(lam)
-        U = V @ (sq[..., None] * np.swapaxes(V, 1, 2))
-        S1 = self.Q.grad(U - np.eye(d))
-        S1 = 0.5 * (S1 + np.swapaxes(S1, 1, 2))
-        # solve U T + T U = S1 in the eigenbasis of U
-        St = np.swapaxes(V, 1, 2) @ S1 @ V
-        den = sq[:, :, None] + sq[:, None, :]
-        T = np.where(den > 1e-12, St / np.where(den > 1e-12, den, 1.0), 0.0)
-        T = V @ T @ np.swapaxes(V, 1, 2)
-        gFp = 2.0 * self.spec.det_abs * (Fp @ T)
-
-        det, h, grow = self._chi_parts(Fp, F)
-        u = (self.delta - det) / (0.5 * self.delta)
-        dh_ddet = _smoothstep_deriv(u) * (-1.0 / (0.5 * self.delta))
-        cof = np.empty_like(Fp)  # d(det)/dFp for d = 2
-        if d == 2:
-            cof[:, 0, 0] = Fp[:, 1, 1]
-            cof[:, 0, 1] = -Fp[:, 1, 0]
-            cof[:, 1, 0] = -Fp[:, 0, 1]
-            cof[:, 1, 1] = Fp[:, 0, 0]
-        else:
-            cof = det[:, None, None] * np.linalg.inv(np.swapaxes(Fp, 1, 2))
-        gFp = gFp + self.kappa * (dh_ddet * grow)[:, None, None] * cof
-
-        gF = gFp @ (self._ZZT_inv @ self.spec.corners)
-        gF = gF + 2.0 * Fr
-        gF = gF + (2.0 * self.kappa) * h[:, None, None] * F
-        return gF, None
+        sg = np.where(det < 0, -1.0, 1.0)
+        R11, R12 = (a + sg * d) * inv_tau, (b - sg * c) * inv_tau
+        R21, R22 = (c - sg * b) * inv_tau, (d + sg * a) * inv_tau
+        # U - Id and U differ by Id, which commutes with S
+        omega = (S12 * (x - z) + y * (S22 - S11)) * inv_tau
+        M12, M21 = S12 + omega, S12 - omega
+        # d chi / d Fp = kappa h'(u) (-2 / delta) grow cof Fp
+        p = self.kappa * _smoothstep_deriv(u) * (-2.0 / self.delta) * grow
+        gFp = np.stack([
+            scale * (R11 * S11 + R12 * M21) + p * d,
+            scale * (R11 * M12 + R12 * S22) - p * c,
+            scale * (R21 * S11 + R22 * M21) - p * b,
+            scale * (R21 * M12 + R22 * S22) + p * a,
+        ], axis=1)
+        gF = (gFp.reshape(2 * B, 2) @ self._lift.T).reshape(B, 2, n)
+        gF += 2.0 * Fr + (2.0 * self.kappa) * h[:, None, None] * F
+        return E, (gF, None)
 
 
 def quadratic_form_model(spec: LatticeSpec, Q: QuadraticForm,
@@ -766,10 +768,10 @@ def quadratic_form_model(spec: LatticeSpec, Q: QuadraticForm,
     """Frame-indifferent cell energy whose Hessian at the identity is 2*Q.
 
     The corner block splits orthogonally into its best affine part Fp and
-    a residual; the energy is det|A|*Q(stretch(Fp) - Id) + |residual|^2
-    plus a smooth orientation penalty kappa*h(det Fp)*(1 + |F|^p) that
-    switches on below det Fp = delta, which keeps reflected states away
-    from the zero set.
+    a residual; the energy is det|A|*Q(U - Id) + |residual|^2, with the
+    stretch U = sqrt(Fp^T Fp) in 2D closed form, plus a smooth orientation
+    penalty kappa*h(det Fp)*(1 + |F|^p) that switches on below
+    det Fp = delta, which keeps reflected states away from the zero set.
     """
     if spec.d != 2 or spec.n_cols != spec.n_corners:
         raise ValueError("quadratic form model requires a 2D unit-cell stencil")

@@ -79,6 +79,7 @@ class SolveResult:
     stop: str                       # converged | max_iter | line_search_stall
     n_evals: int                    # energy and energy-gradient evaluations
     failed_starts: list = field(default_factory=list)  # multistart labels that diverged
+    starts: list = field(default_factory=list)   # multistart record, one dict per start
 
 
 class Problem:
@@ -472,10 +473,11 @@ def start_fields(problem: Problem, opts: SolveOptions):
 def multi_start_minimize(problem: Problem, opts: SolveOptions) -> SolveResult:
     """Minimize from every start of ``start_fields``; lowest energy wins.
 
-    The earliest start wins a tie, which keeps the reduction deterministic
-    under any execution order.  The winner keeps its own ``converged`` and
-    ``stop``; the labels of starts whose evaluation diverged are listed in
-    its ``failed_starts``.
+    Energies within the rounding floor 1e-12 (1 + |E|) of the incumbent's
+    tie, and the earliest start wins a tie.  The winner keeps its own
+    ``converged`` and ``stop``; its ``starts`` records every start that
+    returned, in order, and its ``failed_starts`` the labels of starts
+    whose evaluation diverged.
     """
     results, failed = [], []
     for label, dfm, internal in start_fields(problem, opts):
@@ -485,6 +487,12 @@ def multi_start_minimize(problem: Problem, opts: SolveOptions) -> SolveResult:
             failed.append(label)
     if not results:
         raise DivergedEvaluation(f"all starts failed: {', '.join(failed)}")
-    best = min(results, key=lambda r: r.energy)   # first of equals: earliest start
+    best = results[0]
+    for r in results[1:]:
+        if r.energy < best.energy - _ENERGY_FLOOR * (1.0 + abs(best.energy)):
+            best = r
     best.failed_starts = failed
+    best.starts = [{"label": r.start_label, "energy": r.energy, "stop": r.stop,
+                    "iterations": r.iterations, "n_evals": r.n_evals}
+                   for r in results]
     return best

@@ -265,8 +265,8 @@ def test_criterion_11_determinism(tmp_path):
     t0 = time.time()
     config_path = CONFIG_DIR / "benchmark.json"
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
-    assert run(parse_config(config_path), out_dir=str(out1), threads=2) == 0
-    assert run(parse_config(config_path), out_dir=str(out2), threads=2) == 0
+    assert run(parse_config(config_path), out_dir=str(out1)) == 0
+    assert run(parse_config(config_path), out_dir=str(out2)) == 0
     b1 = (out1 / "results.csv").read_bytes()
     b2 = (out2 / "results.csv").read_bytes()
     assert b1 == b2

@@ -90,7 +90,7 @@ def test_run_homogenize_outputs(tmp_path):
     path = write_config(tmp_path)
     config = parse_config(path)
     out = tmp_path / "out"
-    assert run(config, out_dir=str(out), threads=1) == 0
+    assert run(config, out_dir=str(out)) == 0
 
     csv = (out / "results.csv").read_text().strip().splitlines()
     assert csv[0] == "task,model,M,s0,N,f_N,energy,iters,converged,grad_norm,start_label"
@@ -106,6 +106,16 @@ def test_run_homogenize_outputs(tmp_path):
         assert entry["stop"] == "converged"
         assert entry["failed_starts"] == []
         assert entry["n_evals"] >= 1
+        starts = entry["starts"]
+        assert [s["label"] for s in starts] == ["affine", "random-0"]
+        for s in starts:
+            assert set(s) == {"label", "energy", "stop", "iterations", "n_evals"}
+            assert s["stop"] in ("converged", "max_iter", "line_search_stall")
+            assert s["energy"] >= entry["energy"] - 1e-12 * (1 + abs(entry["energy"]))
+        won = next(s for s in starts if s["label"] == entry["start_label"])
+        assert won == {"label": entry["start_label"], "energy": entry["energy"],
+                       "stop": entry["stop"], "iterations": entry["iterations"],
+                       "n_evals": entry["n_evals"]}
 
     plot = (out / "plotdata" / "m0.csv").read_text().strip().splitlines()
     assert plot[0] == "N,inv_N,f_N"
@@ -115,8 +125,8 @@ def test_run_homogenize_outputs(tmp_path):
 def test_run_deterministic_csv(tmp_path):
     path = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run(parse_config(path), out_dir=str(out1), threads=2) == 0
-    assert run(parse_config(path), out_dir=str(out2), threads=1) == 0
+    assert run(parse_config(path), out_dir=str(out1)) == 0
+    assert run(parse_config(path), out_dir=str(out2)) == 0
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
     s1 = json.loads((out1 / "summary.json").read_text())
     s2 = json.loads((out2 / "summary.json").read_text())
@@ -128,7 +138,7 @@ def test_run_cb_scan(tmp_path):
     path = write_config(tmp_path, task="cb_scan",
                         M=[[0.5, 0.0, 0.0, 1.0]], schedule=[6, 8, 12])
     out = tmp_path / "out"
-    assert run(parse_config(path), out_dir=str(out), threads=1) == 0
+    assert run(parse_config(path), out_dir=str(out)) == 0
     summary = json.loads((out / "summary.json").read_text())
     row = summary["results"]["cb_table"][0]
     assert row["w_cb"] == pytest.approx(0.25, abs=1e-12)
@@ -138,7 +148,7 @@ def test_run_cb_scan(tmp_path):
 def test_run_elastic(tmp_path):
     path = write_config(tmp_path, task="elastic", M=[])
     out = tmp_path / "out"
-    assert run(parse_config(path), out_dir=str(out), threads=1) == 0
+    assert run(parse_config(path), out_dir=str(out)) == 0
     csv = (out / "results.csv").read_text().strip().splitlines()
     assert csv[0] == "i,j,k,l,c_ijkl"
     assert len(csv) == 1 + 16
@@ -149,7 +159,7 @@ def test_run_elastic(tmp_path):
 def test_run_tiling(tmp_path):
     path = write_config(tmp_path, task="tiling_check", schedule=[4, 8])
     out = tmp_path / "out"
-    assert run(parse_config(path), out_dir=str(out), threads=1) == 0
+    assert run(parse_config(path), out_dir=str(out)) == 0
     summary = json.loads((out / "summary.json").read_text())
     entry = summary["results"]["tiling"][0]
     assert entry["n"] == 4 and entry["k"] == 8
@@ -166,7 +176,7 @@ def test_main_validate_quick(capsys):
 def test_main_run(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "cli_out"
-    assert main(["run", str(path), "--out", str(out), "--threads", "1"]) == 0
+    assert main(["run", str(path), "--out", str(out)]) == 0
     assert (out / "results.csv").exists()
 
 

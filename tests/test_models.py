@@ -9,7 +9,7 @@ from cellhom import (QuadraticForm, build_grid, build_lattice, constant_density,
                      quasiconvex_wrapper_model, square_lattice)
 from cellhom.models import SimplicialDecomposition, check_quadratic_form
 
-from conftest import fd_gradient, random_rotation, rotation
+from conftest import fd_gradient, max_rel_err, random_rotation, rotation
 
 
 def centered(F):
@@ -254,6 +254,94 @@ def test_inadmissible_q_rejected(square_spec):
 
 def test_check_quadratic_form_accepts_moduli():
     check_quadratic_form(QuadraticForm.from_moduli(2.0, 1.0))
+
+
+def mp_quadratic_reference(model, F):
+    """(energy, dE/dF) of one quadratic-form cell, from 50-digit mpmath.
+
+    The stretch comes from a symmetric eigensolve, independent of the
+    model's closed form, and the gradient from ``mp.diff`` of the whole
+    cell energy, one entry of F at a time.
+    """
+    from mpmath import mp
+
+    spec = model.spec
+    nc, n = spec.n_corners, spec.n_cols
+    Z = mp.matrix(spec.corners.tolist())
+    lift = Z.T * mp.inverse(Z * Z.T)
+    H = model.Q.H
+
+    def energy(G):
+        F = mp.matrix(G)
+        for i in range(2):
+            mean = sum(F[i, j] for j in range(nc)) / nc
+            for j in range(n):
+                F[i, j] -= mean
+        Fp = F * lift
+        Fr = F - Fp * Z
+        lam, V = mp.eigsy(Fp.T * Fp)
+        U = V * mp.diag([mp.sqrt(max(x, 0)) for x in lam]) * V.T
+        v = [U[0, 0] - 1, U[0, 1], U[1, 0], U[1, 1] - 1]
+        Q = sum(v[i] * H[i, j] * v[j] for i in range(4) for j in range(4)) / 2
+        u = min(max((model.delta - mp.det(Fp)) / (model.delta / 2), 0), 1)
+        a = mp.exp(-1 / u) if u > 0 else mp.zero
+        b = mp.exp(-1 / (1 - u)) if u < 1 else mp.zero
+        grow = 1 + sum(F[i, j] ** 2 for i in range(2) for j in range(n))
+        return (spec.det_abs * Q + sum(Fr[i, j] ** 2 for i in range(2) for j in range(n))
+                + model.kappa * a / (a + b) * grow)
+
+    def along(i, j):
+        def f(t):
+            G = [[mp.mpf(x) for x in row] for row in F]
+            G[i][j] += t
+            return energy(G)
+        return f
+
+    with mp.workdps(50):
+        E = float(energy(F.tolist()))
+        g = np.array([[float(mp.diff(along(i, j), 0)) for j in range(n)]
+                      for i in range(2)])
+    return E, g
+
+
+def test_quadratic_exact_near_singular_cells(square_spec, rng):
+    # Fp = R diag(s1, +-s2) V^T with s2/s1 down to 1e-8: an eigensolve of
+    # Fp^T Fp loses the small stretch to rounding there
+    pytest.importorskip("mpmath")
+    model = quadratic_form_model(square_spec, QuadraticForm.from_moduli(1.0, 0.5))
+    hourglass = 4.0 * square_spec.corners[0] * square_spec.corners[1]  # residual mode
+    for ratio in (1e-2, 1e-6, 1e-8):
+        for sign in (1.0, -1.0):
+            s1 = rng.uniform(0.7, 1.3)
+            Fp = (rotation(rng.uniform(0, 2 * np.pi)) @ np.diag([s1, sign * ratio * s1])
+                  @ rotation(rng.uniform(0, 2 * np.pi)).T)
+            F = Fp @ square_spec.corners + np.outer(1e-2 * rng.standard_normal(2), hourglass)
+            E_ref, g_ref = mp_quadratic_reference(model, F)
+            gF, _ = model.gradient(F)
+            assert abs(model.energy(F) - E_ref) <= 1e-12 * max(1.0, abs(E_ref)), (ratio, sign)
+            assert max_rel_err(gF, g_ref) <= 1e-12, (ratio, sign)
+
+
+def test_quadratic_exact_near_repeated_and_zero_stretch(square_spec, rng):
+    # scaled rotations and reflections with 1e-9 noise, down to a cell
+    # collapsed to 1e-13 of its size, and Fp = 0 itself (there the central
+    # difference of the stretch term is 0, as is the model's gradient)
+    pytest.importorskip("mpmath")
+    model = quadratic_form_model(square_spec, QuadraticForm.from_moduli(1.0, 0.5))
+    hourglass = 4.0 * square_spec.corners[0] * square_spec.corners[1]
+    cells = [np.zeros((2, 4)), np.outer([0.3, -0.2], hourglass)]
+    for scale in (1.0, 1e-3, 1e-7, 1e-13):
+        for sign in (1.0, -1.0):
+            Fp = rotation(rng.uniform(0, 2 * np.pi)) @ np.diag([1.0, sign])
+            Fp = scale * (Fp + 1e-9 * rng.standard_normal((2, 2)))
+            cells.append(Fp @ square_spec.corners)
+    for F in cells:
+        E_ref, g_ref = mp_quadratic_reference(model, F)
+        E = model.energy(F)
+        gF, _ = model.gradient(F)
+        assert np.isfinite(E) and np.all(np.isfinite(gF))
+        assert abs(E - E_ref) <= 1e-12 * max(1.0, abs(E_ref))
+        assert max_rel_err(gF, g_ref) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,28 @@ def test_multistart_selection_ignores_convergence(grid5, harmonic, monkeypatch):
     assert best.failed_starts == ["random-1"]
 
 
+def test_multistart_tie_within_rounding_floor_goes_to_earliest(grid5, harmonic, monkeypatch):
+    # starts that reach the same minimum differ by rounding only; a later
+    # start must beat the incumbent by more than the energy's rounding floor
+    energies = {}
+
+    def fake(problem, opts, dfm, internal=None, start_label="custom"):
+        return solver.SolveResult(energies[start_label], dfm, internal, 0, True, 0.0,
+                                  start_label, "converged", 1)
+
+    monkeypatch.setattr(solver, "minimize", fake)
+    problem = assemble(grid5, harmonic, np.diag([1.2, 1.0]))
+    opts = SolveOptions(n_random_starts=1)
+    energies.update({"affine": 1.0, "random-0": 1.0 - 2e-16})
+    best = multi_start_minimize(problem, opts)
+    assert best.start_label == "affine"
+    assert best.energy == 1.0
+    assert [s["label"] for s in best.starts] == ["affine", "random-0"]
+    assert [s["energy"] for s in best.starts] == [1.0, 1.0 - 2e-16]
+    energies.update({"random-0": 1.0 - 1e-9})
+    assert multi_start_minimize(problem, opts).start_label == "random-0"
+
+
 class FloorProblem:
     """Energy frozen at its rounding floor with the gradient of
     1.5 |x - 1|^2, so only slopes can rank steps; the L-BFGS unit step from
