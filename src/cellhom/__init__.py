@@ -10,22 +10,21 @@ from .elasticity import (CauchyReport, ElasticTensor, cauchy_residuals,
                          numeric_elastic_tensor, pair_elastic_tensor,
                          quadratic_model_hessian_check, voigt_matrix)
 from .fields import (Deformation, InterpolationPiece, InternalField,
-                     affine_deformation, apply_boundary, certified_ratio_bounds,
-                     deformation_to_csv, discrete_gradient,
-                     gradient_equivalence_ratio, interpolate_cell)
+                     affine_deformation, certified_ratio_bounds,
+                     discrete_gradient, gradient_equivalence_ratio,
+                     interpolate_cell)
 from .homogenize import (HomogenizationResult, cauchy_born_density,
                          cb_validity_scan, f_N, tiling_upper_bound_check,
-                         w_cont_estimate, w_cont_min_over_s, w_cont_multilattice)
+                         w_cont_estimate)
 from .lattice import (CellGrid, LatticeSpec, build_grid, build_lattice,
                       cell_sites, square_lattice)
 from .models import (EnergyModel, MatrixDensity, PairPotential, QuadraticForm,
-                     SimplicialDecomposition, constant_density, eval_cell_energy,
-                     frobenius_squared_density, grad_cell_energy, harmonic_pair,
+                     SimplicialDecomposition, constant_density,
+                     frobenius_squared_density, harmonic_pair,
                      harmonic_spring_model, kuhn_decomposition, lennard_jones,
                      multilattice_harmonic_model, pair_potential_model,
                      quadratic_form_model, quasiconvex_wrapper_model)
-from .solver import (Problem, SolveOptions, SolveResult, assemble,
-                     buckling_start, energy_and_gradient, minimize,
-                     multi_start_minimize, site_forces)
+from .solver import (Problem, SolveOptions, SolveResult, buckling_start,
+                     minimize, multi_start_minimize)
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ __all__ = ["RunConfig", "parse_config", "run", "main"]
 
 ARTIFACT_VERSION = "0.1.0"
 
-_TASKS = ("homogenize", "cb_scan", "elastic", "tiling_check", "validate")
+_TASKS = ("homogenize", "cb_scan", "elastic", "tiling_check")
 _TOP_KEYS = {"lattice", "model", "task", "M", "s0", "schedule", "solver",
              "output", "seed"}
 _LATTICE_KEYS = {"d", "A", "stencil", "m"}
@@ -78,30 +78,33 @@ def _require(block, key, where):
     return block[key]
 
 
-def _build_model(name, params, spec, raw_lattice):
+def _build_model(name, params, spec):
+    """The named model; every key of ``params`` must be one it reads."""
     params = dict(params)
     if name == "harmonic":
-        return md.harmonic_spring_model(spec, params.pop("k", 1.0), params.pop("r0", 1.0))
-    if name == "pair_lj":
+        model = md.harmonic_spring_model(spec, params.pop("k", 1.0), params.pop("r0", 1.0))
+    elif name == "pair_lj":
         pot = md.lennard_jones(params.pop("epsilon", 1.0), params.pop("sigma", 1.0))
-        return md.pair_potential_model(spec, pot, params.pop("cutoff", 2.5))
-    if name == "pair_harmonic":
+        model = md.pair_potential_model(spec, pot, params.pop("cutoff", 2.5))
+    elif name == "pair_harmonic":
         pot = md.harmonic_pair(params.pop("k", 1.0), params.pop("r0", 1.0),
                                shell=params.pop("shell", None))
-        return md.pair_potential_model(spec, pot, params.pop("cutoff", 1.0))
-    if name == "quasiconvex_frobenius":
-        if params:
-            raise ValueError(f"unknown model params: {sorted(params)}")
-        return md.quasiconvex_wrapper_model(spec, md.frobenius_squared_density())
-    if name == "quadratic_form":
+        model = md.pair_potential_model(spec, pot, params.pop("cutoff", 1.0))
+    elif name == "quasiconvex_frobenius":
+        model = md.quasiconvex_wrapper_model(spec, md.frobenius_squared_density())
+    elif name == "quadratic_form":
         Q = md.QuadraticForm.from_moduli(params.pop("mu", 1.0),
                                          params.pop("lam", 0.0), d=spec.d)
-        return md.quadratic_form_model(spec, Q, kappa=params.pop("kappa", 1.0),
-                                       delta=params.pop("delta", 0.5))
-    if name == "multilattice_harmonic":
+        model = md.quadratic_form_model(spec, Q, kappa=params.pop("kappa", 1.0),
+                                        delta=params.pop("delta", 0.5))
+    elif name == "multilattice_harmonic":
         r0 = params.pop("r0", float(np.linalg.norm(spec.corners[:, 0])))
-        return md.multilattice_harmonic_model(spec, params.pop("k", 1.0), r0)
-    raise ValueError(f"unknown model name '{name}'")
+        model = md.multilattice_harmonic_model(spec, params.pop("k", 1.0), r0)
+    else:
+        raise ValueError(f"unknown model name '{name}'")
+    if params:
+        raise ValueError(f"unknown model params: {sorted(params)}")
+    return model
 
 
 def parse_config(path) -> RunConfig:
@@ -125,7 +128,7 @@ def parse_config(path) -> RunConfig:
     mdl = _require(raw, "model", "config")
     _reject_unknown(mdl, _MODEL_KEYS, "model block")
     model = _build_model(_require(mdl, "name", "model block"),
-                         mdl.get("params", {}), spec, lat)
+                         mdl.get("params", {}), spec)
 
     task = _require(raw, "task", "config")
     if task not in _TASKS:
@@ -245,13 +248,7 @@ def _run_homogenize(config: RunConfig):
     rows, summary, warnings, estimates = [], [], [], []
     for i, M in enumerate(config.M_list):
         s0 = _s0_for(config, i)
-        if config.model.m > 0 and s0 is not None:
-            est = hm.w_cont_multilattice(config.model, M, s0, config.schedule,
-                                         config.solver)
-        elif config.model.m > 0:
-            est = hm.w_cont_min_over_s(config.model, M, config.schedule, config.solver)
-        else:
-            est = hm.w_cont_estimate(config.model, M, config.schedule, config.solver)
+        est = hm.w_cont_estimate(config.model, M, config.schedule, config.solver, s0=s0)
         rows.extend(_result_rows("homogenize", config.model.name, M, s0, est))
         summary.append(_est_summary(est))
         warnings.extend(est.warnings)
@@ -324,11 +321,6 @@ def _run_tiling(config: RunConfig):
 def run(config: RunConfig, out_dir=".") -> int:
     """Execute the configured task; write results.csv/summary.json/plotdata."""
     os.makedirs(out_dir, exist_ok=True)
-
-    if config.task == "validate":
-        ok = run_validation_suite(quick=True)
-        return 0 if ok else 1
-
     runner = {
         "homogenize": _run_homogenize,
         "cb_scan": _run_cb_scan,
@@ -355,15 +347,7 @@ def run(config: RunConfig, out_dir=".") -> int:
         "results": results,
         "warnings": warnings,
         "artifact_version": ARTIFACT_VERSION,
-        "solver": {
-            "grad_tol": config.solver.grad_tol,
-            "max_iter": config.solver.max_iter,
-            "history": config.solver.history,
-            "n_random_starts": config.solver.n_random_starts,
-            "perturb_amp": config.solver.perturb_amp,
-            "seed": config.solver.seed,
-            "use_buckling_starts": config.solver.use_buckling_starts,
-        },
+        "solver": asdict(config.solver),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
@@ -392,7 +376,7 @@ def run_validation_suite(quick: bool = False) -> bool:
     """Run the invariant checks and print one PASS/FAIL line per property."""
     from .fields import affine_deformation, discrete_gradient, interpolate_cell
     from .lattice import square_lattice
-    from .solver import assemble, multi_start_minimize
+    from .solver import Problem, multi_start_minimize
 
     checks = []
 
@@ -464,7 +448,7 @@ def run_validation_suite(quick: bool = False) -> bool:
         R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         opts = SolveOptions(n_random_starts=0 if quick else 2)
         grid = build_grid(spec, 5)
-        res = multi_start_minimize(assemble(grid, harmonic, R), opts)
+        res = multi_start_minimize(Problem(grid, harmonic, R), opts)
         _expect(res.energy / 25.0 <= 1e-12, f"f_N = {res.energy / 25.0!r}")
 
     check("zero energy at rotations", zero_energy_rotation)
@@ -481,7 +465,7 @@ def run_validation_suite(quick: bool = False) -> bool:
     def determinism():
         grid = build_grid(spec, 6)
         opts = SolveOptions(n_random_starts=2)
-        p = assemble(grid, harmonic, np.diag([0.8, 1.0]))
+        p = Problem(grid, harmonic, np.diag([0.8, 1.0]))
         r1 = multi_start_minimize(p, opts)
         r2 = multi_start_minimize(p, opts)
         _expect(r1.energy == r2.energy and r1.start_label == r2.start_label,

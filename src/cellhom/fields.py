@@ -15,7 +15,7 @@ basis, and this module computes those constants once per basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,12 +26,10 @@ __all__ = [
     "InternalField",
     "InterpolationPiece",
     "affine_deformation",
-    "apply_boundary",
     "discrete_gradient",
     "interpolate_cell",
     "gradient_equivalence_ratio",
     "certified_ratio_bounds",
-    "deformation_to_csv",
 ]
 
 
@@ -52,10 +50,6 @@ class InternalField:
 
     grid: CellGrid
     s: np.ndarray  # (n_interior, d, m)
-    mean_target: np.ndarray | None = None
-
-    def copy(self) -> "InternalField":
-        return InternalField(self.grid, self.s.copy(), self.mean_target)
 
 
 @dataclass(frozen=True)
@@ -74,32 +68,10 @@ def affine_deformation(grid: CellGrid, M) -> Deformation:
     return Deformation(grid, grid.site_coords @ M.T)
 
 
-def apply_boundary(deformation: Deformation, g) -> Deformation:
-    """Pin the sites of boundary cells to the datum g.
-
-    g maps an (n, d) array of site coordinates to (n, d) positions; free
-    sites keep their values.  The datum is evaluated at the site position
-    itself, which for affine data differs from evaluation at cell centers
-    only by a fixed shift of every pinned site and leaves all cell-problem
-    values unchanged.
-    """
-    out = deformation.copy()
-    pinned = ~deformation.grid.free_mask
-    vals = np.asarray(g(deformation.grid.site_coords[pinned]), dtype=float)
-    if vals.shape != (int(pinned.sum()), deformation.grid.spec.d):
-        raise ValueError("boundary datum returned a wrong shape")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite boundary values")
-    out.y[pinned] = vals
-    return out
-
-
-def discrete_gradient(deformation: Deformation, cell: int, internal=None) -> np.ndarray:
+def discrete_gradient(deformation: Deformation, cell: int) -> np.ndarray:
     """The d x n_cols discrete gradient of one interior cell.
 
     Column j is (stencil site j) minus the mean of the 2^d corner values.
-    ``internal`` is accepted for signature symmetry with multilattice
-    callers but does not enter the gradient.
     """
     grid = deformation.grid
     interior = np.nonzero(grid.interior_mask)[0]
@@ -317,14 +289,3 @@ def certified_ratio_bounds(spec: LatticeSpec, p: float):
     out = (lo - margin, hi + margin)
     _BOUND_CACHE[key] = out
     return out
-
-
-def deformation_to_csv(deformation: Deformation, path):
-    """Write sites and positions as site_x,site_y[,site_z],y_1,y_2[,y_3]."""
-    d = deformation.grid.spec.d
-    head = ",".join([f"site_{ax}" for ax in "xyz"[:d]] + [f"y_{i+1}" for i in range(d)])
-    data = np.hstack([deformation.grid.site_coords, deformation.y])
-    with open(path, "w") as fh:
-        fh.write(head + "\n")
-        for row in data:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

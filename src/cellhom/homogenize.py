@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import Deformation, InternalField
-from .lattice import CellGrid, build_grid
+from .lattice import build_grid
 from .models import EnergyModel
-from .solver import Problem, SolveOptions, SolveResult, assemble, multi_start_minimize
+from .solver import Problem, SolveOptions, multi_start_minimize
 
 __all__ = [
     "HomogenizationResult",
@@ -28,8 +28,6 @@ __all__ = [
     "cauchy_born_density",
     "cb_validity_scan",
     "tiling_upper_bound_check",
-    "w_cont_multilattice",
-    "w_cont_min_over_s",
 ]
 
 
@@ -55,11 +53,9 @@ class HomogenizationResult:
     clipped: bool = False
 
 
-def _solve_one(model: EnergyModel, M, N, opts: SolveOptions, s0=None):
-    grid = build_grid(model.spec, N)
-    problem = assemble(grid, model, M, s0=s0)
-    result = multi_start_minimize(problem, opts)
-    return result.energy / N**model.spec.d, result
+def _solve(model: EnergyModel, M, N, opts: SolveOptions, s0=None):
+    """Multistart solution of the cell problem on the N-box."""
+    return multi_start_minimize(Problem(build_grid(model.spec, N), model, M, s0=s0), opts)
 
 
 def f_N(model: EnergyModel, M, N, opts: SolveOptions | None = None, s0=None) -> float:
@@ -68,9 +64,8 @@ def f_N(model: EnergyModel, M, N, opts: SolveOptions | None = None, s0=None) -> 
     This is an upper bound on the true infimum (local multistart search);
     it is *not* normalized by the interior-cell count or the cell volume.
     """
-    opts = opts or SolveOptions()
-    value, _ = _solve_one(model, M, int(N), opts, s0=s0)
-    return value
+    N = int(N)
+    return _solve(model, M, N, opts or SolveOptions(), s0=s0).energy / N**model.spec.d
 
 
 def w_cont_estimate(model: EnergyModel, M, schedule, opts: SolveOptions | None = None,
@@ -79,7 +74,9 @@ def w_cont_estimate(model: EnergyModel, M, schedule, opts: SolveOptions | None =
 
     Fits f_N = w + a/N by least squares in density units; the intercept,
     clipped at zero for nonnegative models, is the continuum density
-    estimate.
+    estimate.  For a multilattice model, ``s0`` constrains the mean of the
+    internal shifts; ``s0=None`` relaxes it, which realizes the pointwise
+    minimum of the constrained density over the mean.
     """
     opts = opts or SolveOptions()
     schedule = [int(N) for N in schedule]
@@ -90,7 +87,8 @@ def w_cont_estimate(model: EnergyModel, M, schedule, opts: SolveOptions | None =
     det = model.spec.det_abs
     f_vals, diag = [], []
     for N in schedule:
-        raw, result = _solve_one(model, M, N, opts, s0=s0)
+        result = _solve(model, M, N, opts, s0=s0)
+        raw = result.energy / N**model.spec.d
         f_vals.append(raw / det)
         diag.append({
             "N": N,
@@ -193,9 +191,8 @@ def tiling_upper_bound_check(model: EnergyModel, M, n: int, k: int,
     d = model.spec.d
     A = model.spec.A
 
-    grid_n = build_grid(model.spec, n)
-    problem_n = assemble(grid_n, model, M, s0=s0)
-    res_n = multi_start_minimize(problem_n, opts)
+    res_n = _solve(model, M, n, opts, s0=s0)
+    grid_n = res_n.argmin.grid
 
     grid_k = build_grid(model.spec, k)
     reps = k // n
@@ -233,30 +230,8 @@ def tiling_upper_bound_check(model: EnergyModel, M, n: int, k: int,
                     s_k[pos] = s_val
         internal_k = InternalField(grid_k, s_k)
 
-    problem_k = assemble(grid_k, model, M, s0=None if s0 is None else s0)
+    problem_k = Problem(grid_k, model, M, s0=s0)
     x_tiled = problem_k.pack(tiled, internal_k)
     e_tiled = problem_k.energy_only(x_tiled)
     res_k = multi_start_minimize(problem_k, opts)
     return res_k.energy / k**d, e_tiled / k**d
-
-
-def w_cont_multilattice(model: EnergyModel, M, s0, schedule,
-                        opts: SolveOptions | None = None) -> HomogenizationResult:
-    """Cell-problem limit with the internal shifts constrained to mean s0."""
-    if model.m < 1:
-        raise ValueError("internal variables undefined for Bravais model")
-    out = w_cont_estimate(model, M, schedule, opts, s0=np.asarray(s0, dtype=float))
-    out.s0 = np.asarray(s0, dtype=float)
-    return out
-
-
-def w_cont_min_over_s(model: EnergyModel, M, schedule,
-                      opts: SolveOptions | None = None) -> HomogenizationResult:
-    """Cell-problem limit with unconstrained internal shifts.
-
-    Relaxing the mean constraint realizes the pointwise minimum of the
-    constrained density over the mean value.
-    """
-    if model.m < 1:
-        raise ValueError("internal variables undefined for Bravais model")
-    return w_cont_estimate(model, M, schedule, opts, s0=None)

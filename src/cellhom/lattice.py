@@ -194,20 +194,12 @@ class CellGrid:
         return self.interior_cell_sites.shape[0]
 
     @property
-    def cells(self) -> np.ndarray:
-        return np.arange(self.n_cells)
-
-    @property
     def interior_cells(self) -> np.ndarray:
         return np.nonzero(self.interior_mask)[0]
 
     @property
     def boundary_cells(self) -> np.ndarray:
         return np.nonzero(~self.interior_mask)[0]
-
-    @property
-    def sites(self) -> np.ndarray:
-        return np.arange(self.n_sites)
 
     @property
     def free_sites(self) -> np.ndarray:

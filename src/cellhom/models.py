@@ -1,17 +1,19 @@
 """Cell-energy models with analytic gradients.
 
-A model assigns a nonnegative energy to the discrete gradient of one
-lattice cell (a d x n_cols matrix whose columns are stencil-site positions
-minus the mean of the 2^d corner positions) and, for multilattice models,
-to the per-cell internal shift s (d x m).  All built-ins are translation
-invariant by construction: the corner-block mean is subtracted from every
-column on entry, so adding the same vector to each column never changes
-the energy.
+A model assigns an energy to the discrete gradient of one lattice cell (a
+d x n_cols matrix whose columns are stencil-site positions minus the mean
+of the 2^d corner positions) and, for multilattice models, to the per-cell
+internal shift s (d x m).  All built-ins are translation invariant by
+construction: the corner-block mean is subtracted from every column on
+entry, so adding the same vector to each column never changes the energy.
 
-Evaluation and differentiation are vectorized over batches of cells; the
-single-cell API wraps batches of one.  Gradients are exact except at the
-non-smooth points of bond lengths |b| = 0, where the zero element of the
-subdifferential is returned for the offending term.
+Each model defines one method, ``_evaluate(F, S, grad)``, which returns
+the energies of a batch of centred cells and, with ``grad``, also the
+gradient ``(dE/dF, dE/dS)``; an energy-only call returns before any
+gradient is assembled.  The single-cell API wraps batches of one.
+Gradients are exact except at the non-smooth points of bond lengths
+|b| = 0, where the zero element of the subdifferential is returned for
+the offending term.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ __all__ = [
     "quasiconvex_wrapper_model",
     "quadratic_form_model",
     "multilattice_harmonic_model",
-    "eval_cell_energy",
-    "grad_cell_energy",
     "kuhn_decomposition",
     "lennard_jones",
     "harmonic_pair",
@@ -56,10 +56,8 @@ class EnergyModel:
         n_cols: stencil width (2^d for unit-cell models).
         m: internal-atom count.
         p: bulk growth exponent (energy scales like |F|^p).
-        q: internal growth exponent (multilattice only, else 0).
-        params: model parameters as given at construction.
         growth: optional (c, c_prime, c_dblprime) with
-            c*|F|^p - c_prime <= W(F, argmin s) <= c_dblprime*(|F|^p + |s|^q + 1);
+            c*|F|^p - c_prime <= W(F, argmin s) <= c_dblprime*(|F|^p + |s|^2 + 1);
             None when no such constants are claimed (e.g. attractive pair
             potentials, which are not coercive).
         nonnegative: True when W >= 0 everywhere.
@@ -68,14 +66,12 @@ class EnergyModel:
             cell problem vanishes on rotations of the reference cell).
     """
 
-    def __init__(self, name, spec, m=0, p=2, q=0, params=None, growth=None,
+    def __init__(self, name, spec, m=0, p=2, growth=None,
                  nonnegative=False, frame_indifferent=False, zero_at_rotations=False):
         self.name = name
         self.spec = spec
         self.m = m
         self.p = p
-        self.q = q
-        self.params = dict(params or {})
         self.growth = growth
         self.nonnegative = nonnegative
         self.frame_indifferent = frame_indifferent
@@ -114,17 +110,18 @@ class EnergyModel:
         gF, gS = self.gradient_many(np.asarray(F, dtype=float)[None], S)
         return (gF[0], None if gS is None else gS[0])
 
-    # -- to be provided by subclasses ---------------------------------------
+    # -- kernel entry points on centred batches -----------------------------
 
     def _energy(self, F, S):
-        raise NotImplementedError
-
-    def _gradient(self, F, S):
-        raise NotImplementedError
+        return self._evaluate(F, S, False)
 
     def _energy_gradient(self, F, S):
-        """Fused path for hot loops; subclasses may share intermediates."""
-        return self._energy(F, S), self._gradient(F, S)
+        return self._evaluate(F, S, True)
+
+    def _evaluate(self, F, S, grad):
+        """Energies E of centred cells F (B, d, n_cols) with shifts S (B, d, m)
+        or None; with ``grad``, (E, (dE/dF, dE/dS)) instead."""
+        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -153,35 +150,21 @@ class _BondModel(EnergyModel):
             D[a, e] -= 1.0
         self._D = D
 
-    def _bond_vectors(self, F):
-        return F @ self._D
-
-    def _lengths(self, b):
-        return np.sqrt(np.einsum("bde,bde->be", b, b))
-
     def _phi(self, L):
         raise NotImplementedError
 
     def _dphi(self, L):
         raise NotImplementedError
 
-    def _energy(self, F, S):
-        L = self._lengths(self._bond_vectors(F))
-        return self._phi(L) @ self.weights
-
-    def _grad_from(self, b, L):
+    def _evaluate(self, F, S, grad):
+        b = F @ self._D
+        L = np.sqrt(np.einsum("bde,bde->be", b, b))
+        E = self._phi(L) @ self.weights
+        if not grad:
+            return E
         safe = np.where(L > _ZERO_BOND, L, 1.0)
         coef = np.where(L > _ZERO_BOND, self.weights * self._dphi(L) / safe, 0.0)
-        return (coef[:, None, :] * b) @ self._D.T
-
-    def _gradient(self, F, S):
-        b = self._bond_vectors(F)
-        return self._grad_from(b, self._lengths(b)), None
-
-    def _energy_gradient(self, F, S):
-        b = self._bond_vectors(F)
-        L = self._lengths(b)
-        return self._phi(L) @ self.weights, (self._grad_from(b, L), None)
+        return E, ((coef[:, None, :] * b) @ self._D.T, None)
 
 
 def _cell_edges(d: int) -> np.ndarray:
@@ -199,7 +182,6 @@ class HarmonicSpringModel(_BondModel):
     def __init__(self, spec, k, r0):
         super().__init__(
             "harmonic", spec, p=2,
-            params={"k": k, "r0": r0},
             growth=(0.5 * k, 2.0 * k * r0**2, 4.0 * k * max(1.0, r0**2)),
             nonnegative=True, frame_indifferent=True, zero_at_rotations=True,
         )
@@ -293,7 +275,6 @@ class PairPotentialModel(_BondModel):
     def __init__(self, spec, potential, cutoff, bonds, weights, rest_lengths):
         super().__init__(
             "pair", spec, p=2,
-            params={"potential": potential.name, "cutoff": cutoff},
             nonnegative=potential.nonnegative,
             frame_indifferent=True,
         )
@@ -503,7 +484,6 @@ class QuasiconvexWrapperModel(EnergyModel):
     def __init__(self, spec, density, decomp):
         super().__init__(
             "quasiconvex-wrapper", spec, p=density.p,
-            params={"density": density.name},
             nonnegative=density.nonnegative,
             frame_indifferent=density.objective,
         )
@@ -538,21 +518,15 @@ class QuasiconvexWrapperModel(EnergyModel):
                 cvpp * max(lam_max, spec.det_abs) + cvpp,
             )
 
-    def _grads(self, F):
-        # (B, n_simplices, d, d): per-simplex constant gradients
-        return np.einsum("bdn,snk->bsdk", F, self._B)
-
-    def _energy(self, F, S):
-        G = self._grads(F)
-        return np.einsum("s,bs->b", self._w, self.density.value(G))
-
-    def _gradient(self, F, S):
+    def _evaluate(self, F, S, grad):
+        G = np.einsum("bdn,snk->bsdk", F, self._B)   # per-simplex gradients
+        E = np.einsum("s,bs->b", self._w, self.density.value(G))
+        if not grad:
+            return E
         if self.density.grad is None:
             raise ValueError(f"density {self.density.name} has no gradient")
-        G = self._grads(F)
         DV = self.density.grad(G)  # (B, n_simplices, d, d)
-        gF = np.einsum("s,bsdk,snk->bdn", self._w, DV, self._B)
-        return gF, None
+        return E, (np.einsum("s,bsdk,snk->bdn", self._w, DV, self._B), None)
 
 
 def quasiconvex_wrapper_model(spec: LatticeSpec, density: MatrixDensity,
@@ -658,21 +632,14 @@ def check_quadratic_form(Q: QuadraticForm):
 
 
 def _smoothstep(u):
-    """C-infinity step, 0 at u <= 0 and 1 at u >= 1."""
+    """C-infinity step h, 0 at u <= 0 and 1 at u >= 1, and its derivative h'."""
     u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
     a = np.where(u > 0, np.exp(-1.0 / np.where(u > 0, u, 1.0)), 0.0)
     b = np.where(u < 1, np.exp(-1.0 / np.where(u < 1, 1.0 - u, 1.0)), 0.0)
-    return a / (a + b)
-
-
-def _smoothstep_deriv(u):
-    u = np.asarray(u, dtype=float)
     inner = (u > 0) & (u < 1)
     ui = np.where(inner, u, 0.5)
-    a = np.exp(-1.0 / ui)
-    b = np.exp(-1.0 / (1.0 - ui))
-    val = a * b * (1.0 / ui**2 + 1.0 / (1.0 - ui) ** 2) / (a + b) ** 2
-    return np.where(inner, val, 0.0)
+    dh = a * b * (1.0 / ui**2 + 1.0 / (1.0 - ui) ** 2) / (a + b) ** 2
+    return a / (a + b), np.where(inner, dh, 0.0)
 
 
 class QuadraticFormModel(EnergyModel):
@@ -693,7 +660,6 @@ class QuadraticFormModel(EnergyModel):
         qmax = float(np.max(np.abs(np.linalg.eigvalsh(Q.H))))
         super().__init__(
             "quadratic-form", spec, p=2,
-            params={"kappa": kappa, "delta": delta},
             growth=(min(0.5, 0.05 * kappa),
                     4.0 * (spec.det_abs * qmax * spec.d + kappa + 1.0),
                     8.0 * (spec.det_abs * qmax + kappa + 1.0)),
@@ -708,15 +674,8 @@ class QuadraticFormModel(EnergyModel):
         P = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
         self._K = P.T @ (0.5 * (Q.H + Q.H.T)) @ P
 
-    def _energy(self, F, S):
-        return self._evaluate(F, grad=False)
-
-    def _energy_gradient(self, F, S):
-        return self._evaluate(F, grad=True)
-
-    def _evaluate(self, F, grad):
-        """Energies of a batch of cells and, with ``grad``, also (dE/dF, None);
-        Fp = [[a, b], [c, d]] and the formulas of the class docstring."""
+    def _evaluate(self, F, S, grad):
+        """Fp = [[a, b], [c, d]] and the formulas of the class docstring."""
         B, _, n = F.shape
         Fp = (F.reshape(2 * B, n) @ self._lift).reshape(B, 2, 2)
         Fr = F - (Fp.reshape(2 * B, 2) @ self.spec.corners).reshape(B, 2, n)
@@ -738,7 +697,7 @@ class QuadraticFormModel(EnergyModel):
         E1 = 0.5 * scale * (x * S11 + 2.0 * y * S12 + z * S22)
 
         u = (self.delta - det) / (0.5 * self.delta)
-        h = _smoothstep(u)
+        h, dh = _smoothstep(u)
         grow = 1.0 + np.sum(np.square(F), axis=(1, 2))
         E = E1 + np.sum(np.square(Fr), axis=(1, 2)) + self.kappa * h * grow
         if not grad:
@@ -751,7 +710,7 @@ class QuadraticFormModel(EnergyModel):
         omega = (S12 * (x - z) + y * (S22 - S11)) * inv_tau
         M12, M21 = S12 + omega, S12 - omega
         # d chi / d Fp = kappa h'(u) (-2 / delta) grow cof Fp
-        p = self.kappa * _smoothstep_deriv(u) * (-2.0 / self.delta) * grow
+        p = self.kappa * dh * (-2.0 / self.delta) * grow
         gFp = np.stack([
             scale * (R11 * S11 + R12 * M21) + p * d,
             scale * (R11 * M12 + R12 * S22) - p * c,
@@ -793,8 +752,7 @@ class MultilatticeHarmonicModel(_BondModel):
 
     def __init__(self, spec, k, r0):
         super().__init__(
-            "multilattice-harmonic", spec, m=1, p=2, q=2,
-            params={"k": k, "r0": r0},
+            "multilattice-harmonic", spec, m=1, p=2,
             growth=(0.25 * k, 4.0 * k * (1.0 + r0**2), 8.0 * k * (1.0 + r0**2)),
             nonnegative=True, frame_indifferent=True, zero_at_rotations=True,
         )
@@ -810,33 +768,20 @@ class MultilatticeHarmonicModel(_BondModel):
     def _dphi(self, L):
         return self.k * (L - self.edge_rest)
 
-    def _arm_terms(self, F, S):
+    def _evaluate(self, F, S, grad):
+        if S is None:
+            raise ValueError("multilattice model needs an internal shift s")
         arm = F - S[:, :, 0][:, :, None]  # corner minus internal atom
         La = np.sqrt(np.einsum("bde,bde->be", arm, arm))
-        return arm, La
-
-    def _energy(self, F, S):
-        if S is None:
-            raise ValueError("multilattice model needs an internal shift s")
-        e = self._phi(self._lengths(self._bond_vectors(F))) @ self.weights
-        _, La = self._arm_terms(F, S)
-        return e + 0.5 * self.k * np.sum((La - self.r0) ** 2, axis=1)
-
-    def _gradient(self, F, S):
-        if S is None:
-            raise ValueError("multilattice model needs an internal shift s")
-        b = self._bond_vectors(F)
-        gF = self._grad_from(b, self._lengths(b))
-        arm, La = self._arm_terms(F, S)
+        e_arm = 0.5 * self.k * np.sum((La - self.r0) ** 2, axis=1)
+        if not grad:
+            return super()._evaluate(F, S, False) + e_arm
+        e, (gF, _) = super()._evaluate(F, S, True)
         safe = np.where(La > _ZERO_BOND, La, 1.0)
         coef = np.where(La > _ZERO_BOND, self.k * (La - self.r0) / safe, 0.0)
         ga = coef[:, None, :] * arm   # (B, d, 4) w.r.t. the corner columns
         gF += ga
-        gS = -ga.sum(axis=2)[:, :, None]
-        return gF, gS
-
-    def _energy_gradient(self, F, S):
-        return self._energy(F, S), self._gradient(F, S)
+        return e + e_arm, (gF, -ga.sum(axis=2)[:, :, None])
 
 
 def multilattice_harmonic_model(spec: LatticeSpec, k: float, r0: float) -> EnergyModel:
@@ -856,45 +801,3 @@ def multilattice_harmonic_model(spec: LatticeSpec, k: float, r0: float) -> Energ
     if abs(r0 - z1) > 1e-9:
         raise ValueError(f"rest length must equal the corner distance {z1}")
     return MultilatticeHarmonicModel(spec, float(k), float(r0))
-
-
-# ---------------------------------------------------------------------------
-# gated operations
-# ---------------------------------------------------------------------------
-
-
-def _validate_cell_input(model, F, s):
-    F = np.asarray(F, dtype=float)
-    if F.shape != (model.spec.d, model.n_cols):
-        raise ValueError(
-            f"F must be {model.spec.d}x{model.n_cols}, got {F.shape}")
-    if not np.all(np.isfinite(F)):
-        raise ValueError("non-finite input")
-    nc = model.spec.n_corners
-    rows = F[:, :nc].sum(axis=1)
-    if np.max(np.abs(rows)) > 1e-12 * (1.0 + np.max(np.abs(F))) * nc:
-        raise ValueError("not a discrete gradient: corner row sums violate V0")
-    if model.m > 0:
-        if s is None:
-            raise ValueError(f"model has m = {model.m} internal atoms, s required")
-        s = np.asarray(s, dtype=float).reshape(model.spec.d, model.m)
-        if not np.all(np.isfinite(s)):
-            raise ValueError("non-finite input")
-    else:
-        s = None
-    return F, s
-
-
-def eval_cell_energy(model: EnergyModel, F, s=None) -> float:
-    """Energy of one cell with validation of the discrete-gradient gate."""
-    F, s = _validate_cell_input(model, F, s)
-    e = model.energy(F, s)
-    if not np.isfinite(e):
-        raise ValueError("non-finite input")
-    return e
-
-
-def grad_cell_energy(model: EnergyModel, F, s=None):
-    """(dE/dF, dE/ds) for one cell; zero subgradient at zero bond lengths."""
-    F, s = _validate_cell_input(model, F, s)
-    return model.gradient(F, s)

@@ -5,6 +5,9 @@ cell, plus (for multilattice models) the per-cell internal shifts.  When a
 mean value is prescribed for the internal shifts, the deviations from it
 are parametrized on the mean-zero subspace (differences against the last
 interior cell), so the constraint holds identically along all iterates.
+The pinned sites carry the affine datum y = M x.  Energies and gradients
+come from one evaluation path, ``Problem._evaluate``: gather the cells,
+centre them on the corner mean, call the model kernel, scatter back.
 
 The minimizer is a limited-memory quasi-Newton descent.  Its line search
 tries the unit step first.  A step whose energy rises above the rounding
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Deformation, InternalField, affine_deformation, apply_boundary
+from .fields import Deformation, InternalField, affine_deformation
 from .lattice import CellGrid
 from .models import EnergyModel
 
@@ -33,9 +36,6 @@ __all__ = [
     "SolveOptions",
     "SolveResult",
     "Problem",
-    "assemble",
-    "energy_and_gradient",
-    "site_forces",
     "minimize",
     "buckling_start",
     "start_fields",
@@ -83,7 +83,11 @@ class SolveResult:
 
 
 class Problem:
-    """Assembled cell problem: grid + model + affine boundary data."""
+    """Assembled cell problem: grid + model + affine boundary data.
+
+    A start must carry the pinned values of ``affine_deformation`` bit for
+    bit; all evaluations go through ``_evaluate``.
+    """
 
     def __init__(self, grid: CellGrid, model: EnergyModel, M, s0=None):
         if model.spec.n_cols != grid.spec.n_cols or model.spec.d != grid.spec.d:
@@ -155,7 +159,7 @@ class Problem:
         if self.m == 0:
             return None
         _, s = self.unpack(x)
-        return InternalField(self.grid, s, mean_target=self.s0)
+        return InternalField(self.grid, s)
 
     def start_vector(self, deformation: Deformation, internal: InternalField | None = None):
         if not np.array_equal(deformation.y[~self.grid.free_mask], self.pinned_values):
@@ -164,13 +168,24 @@ class Problem:
 
     # -- energy assembly ----------------------------------------------------
 
-    def _gradients_full(self, x):
-        """Energy, per-site gradient and per-cell internal gradient."""
+    def _evaluate(self, x, grad):
+        """Total interior-cell energy at ``x`` and, with ``grad``, the pair
+        (energy, gradient in the flat variables).
+
+        Gathers the cells' discrete gradients, centres them on the corner
+        mean, calls the model kernel and scatters its gradient back onto
+        the sites.  Raises ``DivergedEvaluation`` on a non-finite energy or
+        site gradient.
+        """
         y, s = self.unpack(x)
         nc = self.grid.spec.n_corners
-        Y = y[self.cell_sites]                       # (C, n_cols, d)
-        F = np.swapaxes(Y, 1, 2)                     # (C, d, n_cols)
+        F = np.swapaxes(y[self.cell_sites], 1, 2)    # (C, d, n_cols)
         F = F - F[:, :, :nc].mean(axis=2, keepdims=True)
+        if not grad:
+            E = float(self.model._energy(F, s).sum())
+            if not np.isfinite(E):
+                raise DivergedEvaluation("diverged evaluation")
+            return E
         E_cells, (gF, gS) = self.model._energy_gradient(F, s)
         E = float(E_cells.sum())
         # chain through the corner-mean subtraction
@@ -184,21 +199,6 @@ class Problem:
             )
         if not (np.isfinite(E) and np.all(np.isfinite(g_sites))):
             raise DivergedEvaluation("diverged evaluation")
-        return E, g_sites, gS
-
-    def energy_only(self, x) -> float:
-        y, s = self.unpack(x)
-        nc = self.grid.spec.n_corners
-        Y = y[self.cell_sites]
-        F = np.swapaxes(Y, 1, 2)
-        F = F - F[:, :, :nc].mean(axis=2, keepdims=True)
-        E = float(self.model._energy(F, s).sum())
-        if not np.isfinite(E):
-            raise DivergedEvaluation("diverged evaluation")
-        return E
-
-    def value_and_grad(self, x):
-        E, g_sites, gS = self._gradients_full(x)
         g = np.empty(self.n_vars)
         g[: self.n_free * self.d] = g_sites[self.free_idx].ravel()
         if self.m > 0:
@@ -208,24 +208,11 @@ class Problem:
                 g[self.n_free * self.d:] = gS.ravel()
         return E, g
 
+    def energy_only(self, x) -> float:
+        return self._evaluate(x, False)
 
-def assemble(grid: CellGrid, model: EnergyModel, M, s0=None) -> Problem:
-    """Set up the cell problem for boundary matrix M (and mean shift s0)."""
-    return Problem(grid, model, M, s0=s0)
-
-
-def energy_and_gradient(problem: Problem, x):
-    """Total interior-cell energy and its gradient in the flat variables."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite input")
-    return problem.value_and_grad(x)
-
-
-def site_forces(problem: Problem, x):
-    """Energy and the raw per-site gradient (pinned pseudo-forces included)."""
-    E, g_sites, _ = problem._gradients_full(np.asarray(x, dtype=float))
-    return E, g_sites
+    def value_and_grad(self, x):
+        return self._evaluate(x, True)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +416,7 @@ def start_fields(problem: Problem, opts: SolveOptions):
     start with a collapsed bond is jittered by 1e-6 so its gradient exists.
     """
     starts = []
-    affine = apply_boundary(affine_deformation(problem.grid, problem.M),
-                            lambda x: x @ problem.M.T)
+    affine = affine_deformation(problem.grid, problem.M)
     starts.append(("affine", affine, None))
 
     if problem.d == 2 and opts.use_buckling_starts:
@@ -444,7 +430,7 @@ def start_fields(problem: Problem, opts: SolveOptions):
             (problem.s0 if problem.s0 is not None else np.zeros((problem.d, problem.m)))[None],
             (problem.n_cells, 1, 1),
         )
-        base_internal = InternalField(problem.grid, s_base, mean_target=problem.s0)
+        base_internal = InternalField(problem.grid, s_base)
         starts = [(lbl, dfm, base_internal) for (lbl, dfm, _) in starts]
 
     for k in range(opts.n_random_starts):
@@ -457,7 +443,7 @@ def start_fields(problem: Problem, opts: SolveOptions):
         if problem.m > 0 and problem.s0 is None:
             s = rng.uniform(-opts.perturb_amp, opts.perturb_amp,
                             size=(problem.n_cells, problem.d, problem.m))
-            internal = InternalField(problem.grid, s, mean_target=None)
+            internal = InternalField(problem.grid, s)
         starts.append((f"random-{k}", dfm, internal))
 
     for idx, (label, dfm, internal) in enumerate(starts):

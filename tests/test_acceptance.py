@@ -20,8 +20,7 @@ from cellhom import (QuadraticForm, SolveOptions, build_grid, build_lattice,
                      numeric_elastic_tensor, pair_elastic_tensor,
                      pair_potential_model, quadratic_form_model,
                      quadratic_model_hessian_check, quasiconvex_wrapper_model,
-                     square_lattice, tiling_upper_bound_check, w_cont_estimate,
-                     w_cont_min_over_s, w_cont_multilattice)
+                     square_lattice, tiling_upper_bound_check, w_cont_estimate)
 from cellhom.cli import parse_config, run
 from cellhom.elasticity import _lattice_points_within, cauchy_residuals
 from cellhom.fields import _piece_maps, affine_deformation
@@ -247,13 +246,13 @@ def test_criterion_10_min_over_s_desk_check(multilattice):
     M = np.diag([1.1, 1.0])
     schedule = [5, 6, 8]
     opts = SolveOptions(n_random_starts=1, grad_tol=1e-7)
-    free = w_cont_min_over_s(multilattice, M, schedule, opts)
+    free = w_cont_estimate(multilattice, M, schedule, opts)
     grid_vals = np.arange(-0.05, 0.051, 0.05)  # step 0.05 around the optimum
     best = np.inf
     for sx in grid_vals:
         for sy in grid_vals:
-            est = w_cont_multilattice(multilattice, M, np.array([[sx], [sy]]),
-                                      schedule, opts)
+            est = w_cont_estimate(multilattice, M, schedule, opts,
+                                  s0=np.array([[sx], [sy]]))
             best = min(best, est.w_cont)
     assert abs(free.w_cont - best) <= 1e-3, (free.w_cont, best)
     dt = elapsed_guard(t0, 300, 10)

@@ -65,6 +65,14 @@ def test_parse_unknown_keys_rejected(tmp_path):
         parse_config(path)
 
 
+def test_parse_unknown_model_params_rejected(tmp_path):
+    for model in ({"name": "harmonic", "params": {"k": 1.0, "r_0": 1.3}},
+                  {"name": "pair_lj", "params": {"cutof": 1.5}}):
+        path = write_config(tmp_path, model=model)
+        with pytest.raises(ValueError, match="unknown model params"):
+            parse_config(path)
+
+
 def test_parse_missing_field(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"model": {"name": "harmonic"}, "task": "homogenize"}))

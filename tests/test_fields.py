@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from cellhom import (affine_deformation, apply_boundary, build_grid,
-                     certified_ratio_bounds, deformation_to_csv,
+from cellhom import (affine_deformation, build_grid, certified_ratio_bounds,
                      discrete_gradient, gradient_equivalence_ratio,
                      interpolate_cell)
 from cellhom.fields import Deformation
@@ -29,29 +28,6 @@ def test_affine_arithmetic(grid):
     dfm = affine_deformation(grid, np.diag([1.2, 1.0]))
     s = int(np.ravel_multi_index((3, 2), (6, 6)))
     assert np.allclose(dfm.y[s], [3.6, 2.0])
-
-
-def test_apply_boundary_affine(grid):
-    M = np.array([[1.1, 0.3], [0.0, 0.9]])
-    dfm = affine_deformation(grid, np.zeros((2, 2)))
-    out = apply_boundary(dfm, lambda x: x @ M.T)
-    pinned = grid.pinned_sites
-    assert np.allclose(out.y[pinned], grid.site_coords[pinned] @ M.T)
-    assert np.all(out.y[grid.free_sites] == 0.0)
-
-
-def test_apply_boundary_constant(grid):
-    dfm = affine_deformation(grid, np.eye(2))
-    out = apply_boundary(dfm, lambda x: np.full_like(x, 3.5))
-    assert np.all(out.y[grid.pinned_sites] == 3.5)
-    # the mask itself never changes
-    assert np.array_equal(out.grid.free_mask, grid.free_mask)
-
-
-def test_apply_boundary_rejects_nan(grid):
-    dfm = affine_deformation(grid, np.eye(2))
-    with pytest.raises(ValueError, match="non-finite"):
-        apply_boundary(dfm, lambda x: np.full_like(x, np.nan))
 
 
 def test_discrete_gradient_affine(grid, square_spec):
@@ -221,14 +197,3 @@ def test_certified_bounds_nontrivial_for_skewed_basis():
     hexagonal = build_lattice(2, np.array([[1.0, 0.5], [0.0, np.sqrt(3) / 2]]))
     lo, hi = certified_ratio_bounds(hexagonal, 2.0)
     assert lo < 0.99 < 1.01 < hi / 0.9  # genuinely two-sided sandwich
-
-
-def test_csv_export(grid, tmp_path):
-    dfm = affine_deformation(grid, np.diag([1.1, 1.0]))
-    path = tmp_path / "def.csv"
-    deformation_to_csv(dfm, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "site_x,site_y,y_1,y_2"
-    assert len(lines) == grid.n_sites + 1
-    first = [float(v) for v in lines[1].split(",")]
-    assert first == [0.0, 0.0, 0.0, 0.0]

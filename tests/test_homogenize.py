@@ -5,8 +5,7 @@ from cellhom import (QuadraticForm, SolveOptions, cauchy_born_density,
                      cb_validity_scan, f_N, frobenius_squared_density,
                      lennard_jones, pair_potential_model, quadratic_form_model,
                      quasiconvex_wrapper_model, square_lattice,
-                     tiling_upper_bound_check, w_cont_estimate,
-                     w_cont_min_over_s, w_cont_multilattice)
+                     tiling_upper_bound_check, w_cont_estimate)
 
 from conftest import rotation
 
@@ -121,13 +120,13 @@ def test_quasiconvex_affine_optimal(square_spec):
 
 
 def test_multilattice_rest(multilattice):
-    est = w_cont_multilattice(multilattice, np.eye(2), np.zeros((2, 1)), [4, 6, 8], TINY)
+    est = w_cont_estimate(multilattice, np.eye(2), [4, 6, 8], TINY, s0=np.zeros((2, 1)))
     assert est.w_cont <= 1e-12
 
 
 def test_multilattice_shifted_mean(multilattice):
     s0 = np.array([[0.2], [0.0]])
-    est = w_cont_multilattice(multilattice, np.eye(2), s0, [4, 6, 8], TINY)
+    est = w_cont_estimate(multilattice, np.eye(2), [4, 6, 8], TINY, s0=s0)
     assert est.w_cont > 0.0
     # the affine field with constant shift is admissible
     assert est.w_cont <= cauchy_born_density(multilattice, np.eye(2), s0) + 1e-9
@@ -140,28 +139,28 @@ def test_multilattice_frame_indifference(multilattice):
     s0 = np.array([[0.1], [0.05]])
     M = np.diag([1.05, 1.0])
     R = rotation(0.6)
-    a = w_cont_multilattice(multilattice, M, s0, [4, 6, 8], TINY)
-    b = w_cont_multilattice(multilattice, R @ M, R @ s0, [4, 6, 8], TINY)
+    a = w_cont_estimate(multilattice, M, [4, 6, 8], TINY, s0=s0)
+    b = w_cont_estimate(multilattice, R @ M, [4, 6, 8], TINY, s0=R @ s0)
     assert abs(a.w_cont - b.w_cont) <= 1e-6
 
 
 def test_min_over_s_identity(multilattice):
-    est = w_cont_min_over_s(multilattice, np.eye(2), [4, 6, 8], TINY)
+    est = w_cont_estimate(multilattice, np.eye(2), [4, 6, 8], TINY)
     assert est.w_cont <= 1e-12
 
 
 def test_min_over_s_dominates_constrained(multilattice):
     M = np.diag([1.1, 1.0])
-    free = w_cont_min_over_s(multilattice, M, [4, 6, 8], TINY)
+    free = w_cont_estimate(multilattice, M, [4, 6, 8], TINY)
     for s0x in (-0.1, 0.0, 0.1):
-        constrained = w_cont_multilattice(multilattice, M, np.array([[s0x], [0.0]]),
-                                          [4, 6, 8], TINY)
+        constrained = w_cont_estimate(multilattice, M, [4, 6, 8], TINY,
+                                      s0=np.array([[s0x], [0.0]]))
         assert free.w_cont <= constrained.w_cont + 1e-9
 
 
 def test_min_over_s_requires_internal(harmonic):
     with pytest.raises(ValueError, match="internal variables"):
-        w_cont_min_over_s(harmonic, np.eye(2), [4, 6, 8], TINY)
+        w_cont_estimate(harmonic, np.eye(2), [4, 6, 8], TINY, s0=np.zeros((2, 1)))
 
 
 def test_zero_energy_all_builtin_zero_sets(square_spec, harmonic, multilattice, rng):

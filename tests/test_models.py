@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from cellhom import (QuadraticForm, build_grid, build_lattice, constant_density,
-                     eval_cell_energy, frobenius_squared_density, grad_cell_energy,
-                     harmonic_pair, harmonic_spring_model, kuhn_decomposition,
+                     frobenius_squared_density, harmonic_pair, harmonic_spring_model, kuhn_decomposition,
                      lennard_jones, multilattice_harmonic_model,
                      pair_potential_model, quadratic_form_model,
                      quasiconvex_wrapper_model, square_lattice)
-from cellhom.models import SimplicialDecomposition, check_quadratic_form
+from cellhom.models import SimplicialDecomposition, _smoothstep, check_quadratic_form
 
 from conftest import fd_gradient, max_rel_err, random_rotation, rotation
 
@@ -344,6 +343,26 @@ def test_quadratic_exact_near_repeated_and_zero_stretch(square_spec, rng):
         assert max_rel_err(gF, g_ref) <= 1e-12
 
 
+def test_smoothstep_values_and_derivative():
+    h, dh = _smoothstep(np.array([-2.0, -1e-9, 0.0, 1.0, 1.0 + 1e-9, 3.0]))
+    assert np.array_equal(h, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+    assert np.array_equal(dh, np.zeros(6))
+    # central differences with a step that shrinks like the scale of
+    # exp(-1/u) near either end.  Above u = 1/2, h rounds to 1 long before
+    # h' underflows, so the difference h(u + du) - h(u - du) is taken in
+    # its symmetric form h(v + du) - h(v - du), v = 1 - u, which is the
+    # same number since h(u) = 1 - h(1 - u)
+    u = np.array([1e-3, 2e-3, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99,
+                  1 - 2e-3, 1 - 1e-3])
+    v = np.minimum(u, 1.0 - u)
+    du = 1e-5 * v**2
+    assert np.all(np.abs(_smoothstep(u)[0] + _smoothstep(1.0 - u)[0] - 1.0) <= 1e-15)
+    _, dh = _smoothstep(u)
+    fd = (_smoothstep(v + du)[0] - _smoothstep(v - du)[0]) / (2.0 * du)
+    assert np.all(np.abs(fd - dh) <= 1e-7 * np.abs(dh))
+    assert np.all(dh[1:-1] > 0.0)
+
+
 # ---------------------------------------------------------------------------
 # multilattice harmonic
 # ---------------------------------------------------------------------------
@@ -384,32 +403,18 @@ def test_multilattice_needs_internal_spec(square_spec):
 
 
 # ---------------------------------------------------------------------------
-# gated operations
+# single-cell energy and gradient
 # ---------------------------------------------------------------------------
-
-
-def test_eval_rejects_row_sum_violation(harmonic, square_spec):
-    F = square_spec.corners.copy()
-    F[:, 2] += 0.5   # one column shifted in all entries
-    with pytest.raises(ValueError, match="not a discrete gradient"):
-        eval_cell_energy(harmonic, F)
-
-
-def test_eval_rejects_non_finite(harmonic, square_spec):
-    F = square_spec.corners.copy()
-    F[0, 0] = np.nan
-    with pytest.raises(ValueError, match="non-finite input"):
-        eval_cell_energy(harmonic, F)
 
 
 def test_eval_frame_indifference_gate(harmonic, square_spec, rng):
     R = random_rotation(rng)
-    assert eval_cell_energy(harmonic, R @ square_spec.corners) == pytest.approx(
-        eval_cell_energy(harmonic, square_spec.corners), abs=1e-14)
+    assert harmonic.energy(R @ square_spec.corners) == pytest.approx(
+        harmonic.energy(square_spec.corners), abs=1e-14)
 
 
 def test_grad_zero_at_rest(harmonic, square_spec):
-    gF, gS = grad_cell_energy(harmonic, square_spec.corners)
+    gF, gS = harmonic.gradient(square_spec.corners)
     assert np.all(gF == 0.0)
     assert gS is None
 
@@ -417,7 +422,7 @@ def test_grad_zero_at_rest(harmonic, square_spec):
 def test_grad_zero_on_rotation_manifold(square_spec, rng):
     model = quadratic_form_model(square_spec, QuadraticForm.from_moduli(1.0, 0.5))
     R = random_rotation(rng)
-    gF, _ = grad_cell_energy(model, R @ square_spec.corners)
+    gF, _ = model.gradient(R @ square_spec.corners)
     assert np.max(np.abs(gF)) < 1e-12
 
 
