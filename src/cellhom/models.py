@@ -7,11 +7,17 @@ internal shift s (d x m).  All built-ins are translation invariant by
 construction: the corner-block mean is subtracted from every column on
 entry, so adding the same vector to each column never changes the energy.
 
-Each model defines one method, ``_evaluate(F, S, grad)``, which returns
-the energies of a batch of centred cells and, with ``grad``, also the
-gradient ``(dE/dF, dE/dS)``; an energy-only call returns before any
+Each model defines one method, ``_evaluate(F, S, grad, bonds)``, which
+returns the energies of a batch of centred cells and, with ``grad``, also
+the gradient ``(dE/dF, dE/dS)``; an energy-only call returns before any
 gradient is assembled.  The single-cell API wraps batches of one.
-Gradients are exact except at the non-smooth points of bond lengths
+
+Pair-bond models (harmonic springs, pair potentials) evaluate any batch
+over a bond table of its columns, phi once per bond: column pairs i, j,
+weights w and rest lengths.  Their own table holds one cell's bonds;
+``_sample_bonds`` compiles a sample's interior cells into unique site
+pairs, so that the whole sample is one batch entry whose columns are its
+sites.  Gradients are exact except at the non-smooth points of bond lengths
 |b| = 0, where the zero element of the subdifferential is returned for
 the offending term.
 """
@@ -112,16 +118,22 @@ class EnergyModel:
 
     # -- kernel entry points on centred batches -----------------------------
 
-    def _energy(self, F, S):
-        return self._evaluate(F, S, False)
+    def _energy(self, F, S, bonds=None):
+        return self._evaluate(F, S, False, bonds)
 
-    def _energy_gradient(self, F, S):
-        return self._evaluate(F, S, True)
+    def _energy_gradient(self, F, S, bonds=None):
+        return self._evaluate(F, S, True, bonds)
 
-    def _evaluate(self, F, S, grad):
+    def _evaluate(self, F, S, grad, bonds=None):
         """Energies E of centred cells F (B, d, n_cols) with shifts S (B, d, m)
-        or None; with ``grad``, (E, (dE/dF, dE/dS)) instead."""
+        or None; with ``grad``, (E, (dE/dF, dE/dS)) instead.  ``bonds``, a
+        bond table over the columns of F, is read by pair-bond models only."""
         raise NotImplementedError
+
+    def _sample_bonds(self, cell_sites):
+        """Bond table of the sample whose interior cells hold the sites
+        ``cell_sites`` (C, n_cols); None evaluates the sample cell by cell."""
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -130,41 +142,56 @@ class EnergyModel:
 
 
 class _BondModel(EnergyModel):
-    """Energy as a weighted sum of scalar functions of bond lengths.
-
-    Bonds are pairs of stencil columns encoded in a column-difference
-    matrix, so bond vectors and force scatter are two small matmuls.
-    Subclasses fix the bond list, the per-bond weights and the scalar
-    potential (value and derivative).
+    """Energy as a weighted sum of phi(|b|, rest) over the bond vectors
+    b = F[:, :, j] - F[:, :, i] of a bond table; ``table`` holds one cell's.
+    Subclasses fix the bonds, weights, rest lengths and phi with phi'.
     """
 
     bonds: np.ndarray      # (n_bonds, 2) column indices
     weights: np.ndarray    # (n_bonds,)
 
-    def _set_bonds(self, bonds, weights, n_cols):
+    def _set_bonds(self, bonds, weights, rest):
         self.bonds = np.asarray(bonds)
         self.weights = np.asarray(weights, dtype=float)
-        D = np.zeros((n_cols, len(self.bonds)))
-        for e, (a, b) in enumerate(self.bonds):
-            D[b, e] += 1.0
-            D[a, e] -= 1.0
-        self._D = D
+        self.table = (self.bonds[:, 0], self.bonds[:, 1], self.weights,
+                      np.broadcast_to(np.asarray(rest, dtype=float), self.weights.shape))
 
-    def _phi(self, L):
+    def _phi(self, L, rest):
         raise NotImplementedError
 
-    def _dphi(self, L):
+    def _dphi(self, L, rest):
         raise NotImplementedError
 
-    def _evaluate(self, F, S, grad):
-        b = F @ self._D
+    def _sample_bonds(self, cell_sites):
+        """The cells' bonds as unique site pairs, each weighted by the sum of
+        its per-cell weights over the cells that hold it."""
+        if self.m:
+            return None     # internal shifts belong to cells, not to site pairs
+        i, j, w, rest = self.table
+        I, J = cell_sites[:, i].ravel(), cell_sites[:, j].ravel()
+        lo, hi = np.minimum(I, J), np.maximum(I, J)
+        _, first, inv = np.unique(lo * (int(cell_sites.max()) + 1) + hi,
+                                  return_index=True, return_inverse=True)
+        n = len(cell_sites)
+        return (lo[first], hi[first], np.bincount(inv, weights=np.tile(w, n)),
+                np.tile(rest, n)[first])
+
+    def _evaluate(self, F, S, grad, bonds=None):
+        i, j, w, rest = self.table if bonds is None else bonds
+        # np.take gathers several times faster than fancy indexing here
+        b = np.take(F, j, axis=2) - np.take(F, i, axis=2)
         L = np.sqrt(np.einsum("bde,bde->be", b, b))
-        E = self._phi(L) @ self.weights
+        E = self._phi(L, rest) @ w
         if not grad:
             return E
         safe = np.where(L > _ZERO_BOND, L, 1.0)
-        coef = np.where(L > _ZERO_BOND, self.weights * self._dphi(L) / safe, 0.0)
-        return E, ((coef[:, None, :] * b) @ self._D.T, None)
+        coef = np.where(L > _ZERO_BOND, w * self._dphi(L, rest) / safe, 0.0)
+        f = (coef[:, None, :] * b).ravel()     # dE/dF[:, :, j] of each bond
+        B, d, n = F.shape
+        rows = n * np.arange(B * d)[:, None]
+        gF = np.bincount((rows + j).ravel(), f, minlength=B * d * n)
+        gF -= np.bincount((rows + i).ravel(), f, minlength=B * d * n)
+        return E, (gF.reshape(B, d, n), None)
 
 
 def _cell_edges(d: int) -> np.ndarray:
@@ -191,13 +218,13 @@ class HarmonicSpringModel(_BondModel):
         # bulk sum over cells reproduces one (|b|-r0)^2 per unordered bond
         # in 2D, where every edge is shared by two cells.
         edges = _cell_edges(spec.d)
-        self._set_bonds(edges, np.full(len(edges), 2.0 ** (2 - spec.d)), spec.n_cols)
+        self._set_bonds(edges, np.full(len(edges), 2.0 ** (2 - spec.d)), r0)
 
-    def _phi(self, L):
-        return 0.5 * self.k * (L - self.r0) ** 2
+    def _phi(self, L, rest):
+        return 0.5 * self.k * (L - rest) ** 2
 
-    def _dphi(self, L):
-        return self.k * (L - self.r0)
+    def _dphi(self, L, rest):
+        return self.k * (L - rest)
 
 
 def harmonic_spring_model(spec: LatticeSpec, k: float, r0: float) -> EnergyModel:
@@ -280,14 +307,13 @@ class PairPotentialModel(_BondModel):
         )
         self.potential = potential
         self.cutoff = cutoff
-        self.rest_lengths = rest_lengths
-        self._set_bonds(bonds, weights, spec.n_cols)
+        self._set_bonds(bonds, weights, rest_lengths)
 
-    def _phi(self, L):
-        return self.potential.value(self.rest_lengths[None, :], L)
+    def _phi(self, L, rest):
+        return self.potential.value(rest, L)
 
-    def _dphi(self, L):
-        return self.potential.deriv(self.rest_lengths[None, :], L)
+    def _dphi(self, L, rest):
+        return self.potential.deriv(rest, L)
 
 
 def _stencil_cells_for_cutoff(d, A, cutoff):
@@ -518,7 +544,7 @@ class QuasiconvexWrapperModel(EnergyModel):
                 cvpp * max(lam_max, spec.det_abs) + cvpp,
             )
 
-    def _evaluate(self, F, S, grad):
+    def _evaluate(self, F, S, grad, bonds=None):
         G = np.einsum("bdn,snk->bsdk", F, self._B)   # per-simplex gradients
         E = np.einsum("s,bs->b", self._w, self.density.value(G))
         if not grad:
@@ -674,7 +700,7 @@ class QuadraticFormModel(EnergyModel):
         P = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
         self._K = P.T @ (0.5 * (Q.H + Q.H.T)) @ P
 
-    def _evaluate(self, F, S, grad):
+    def _evaluate(self, F, S, grad, bonds=None):
         """Fp = [[a, b], [c, d]] and the formulas of the class docstring."""
         B, _, n = F.shape
         Fp = (F.reshape(2 * B, n) @ self._lift).reshape(B, 2, 2)
@@ -758,17 +784,16 @@ class MultilatticeHarmonicModel(_BondModel):
         )
         self.k = k
         self.r0 = r0
-        self.edge_rest = 1.0
         edges = _cell_edges(spec.d)
-        self._set_bonds(edges, np.ones(len(edges)), spec.n_cols)
+        self._set_bonds(edges, np.ones(len(edges)), 1.0)
 
-    def _phi(self, L):
-        return 0.5 * self.k * (L - self.edge_rest) ** 2
+    def _phi(self, L, rest):
+        return 0.5 * self.k * (L - rest) ** 2
 
-    def _dphi(self, L):
-        return self.k * (L - self.edge_rest)
+    def _dphi(self, L, rest):
+        return self.k * (L - rest)
 
-    def _evaluate(self, F, S, grad):
+    def _evaluate(self, F, S, grad, bonds=None):
         if S is None:
             raise ValueError("multilattice model needs an internal shift s")
         arm = F - S[:, :, 0][:, :, None]  # corner minus internal atom

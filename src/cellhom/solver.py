@@ -6,8 +6,11 @@ mean value is prescribed for the internal shifts, the deviations from it
 are parametrized on the mean-zero subspace (differences against the last
 interior cell), so the constraint holds identically along all iterates.
 The pinned sites carry the affine datum y = M x.  Energies and gradients
-come from one evaluation path, ``Problem._evaluate``: gather the cells,
-centre them on the corner mean, call the model kernel, scatter back.
+come from ``Problem._evaluate``.  A pair-bond model sees the whole sample
+as one batch entry, over its interior cells' bonds compiled once into
+unique site pairs, so each lattice bond is evaluated once per call.  Any
+other model sees the interior cells, centred on their corner mean, and its
+cell gradients are scattered back onto the sites.
 
 The minimizer is a limited-memory quasi-Newton descent.  Its line search
 tries the unit step first.  A step whose energy rises above the rounding
@@ -86,7 +89,8 @@ class Problem:
     """Assembled cell problem: grid + model + affine boundary data.
 
     A start must carry the pinned values of ``affine_deformation`` bit for
-    bit; all evaluations go through ``_evaluate``.
+    bit; all evaluations go through ``_evaluate``.  ``bonds`` is the bond
+    table of the whole sample, None for models evaluated cell by cell.
     """
 
     def __init__(self, grid: CellGrid, model: EnergyModel, M, s0=None):
@@ -104,6 +108,7 @@ class Problem:
         self.free_idx = np.nonzero(grid.free_mask)[0]
         self.cell_sites = grid.interior_cell_sites
         self.n_cells = self.cell_sites.shape[0]
+        self.bonds = model._sample_bonds(self.cell_sites)
 
         base = affine_deformation(grid, self.M)
         self.pinned_values = base.y[~grid.free_mask].copy()
@@ -172,35 +177,43 @@ class Problem:
         """Total interior-cell energy at ``x`` and, with ``grad``, the pair
         (energy, gradient in the flat variables).
 
-        Gathers the cells' discrete gradients, centres them on the corner
-        mean, calls the model kernel and scatters its gradient back onto
-        the sites.  Raises ``DivergedEvaluation`` on a non-finite energy or
-        site gradient.
+        The kernel, ``model._energy`` or ``model._energy_gradient``, gets
+        either the sample as one batch entry whose columns are the sites, or
+        the interior cells' discrete gradients centred on the corner mean,
+        whose gradient is chained through the centring and scattered back
+        onto the sites.  Raises ``DivergedEvaluation`` on a non-finite
+        energy or site gradient.
         """
         y, s = self.unpack(x)
         nc = self.grid.spec.n_corners
-        F = np.swapaxes(y[self.cell_sites], 1, 2)    # (C, d, n_cols)
-        F = F - F[:, :, :nc].mean(axis=2, keepdims=True)
+        if self.bonds is not None:
+            F = y.T[None]                                # (1, d, n_sites)
+        else:
+            F = np.swapaxes(y[self.cell_sites], 1, 2)    # (C, d, n_cols)
+            F = F - F[:, :, :nc].mean(axis=2, keepdims=True)
         if not grad:
-            E = float(self.model._energy(F, s).sum())
+            E = float(self.model._energy(F, s, self.bonds).sum())
             if not np.isfinite(E):
                 raise DivergedEvaluation("diverged evaluation")
             return E
-        E_cells, (gF, gS) = self.model._energy_gradient(F, s)
+        E_cells, (gF, gS) = self.model._energy_gradient(F, s, self.bonds)
         E = float(E_cells.sum())
-        # chain through the corner-mean subtraction
-        gF[:, :, :nc] -= gF.sum(axis=2, keepdims=True) / nc
-        g_sites = np.zeros((self.grid.n_sites, self.d))
-        flat = self.cell_sites.ravel()
-        contrib = np.swapaxes(gF, 1, 2).reshape(-1, self.d)
-        for axis in range(self.d):
-            g_sites[:, axis] = np.bincount(
-                flat, weights=contrib[:, axis], minlength=self.grid.n_sites
-            )
+        if self.bonds is not None:
+            g_sites = gF[0].T
+        else:
+            # chain through the corner-mean subtraction
+            gF[:, :, :nc] -= gF.sum(axis=2, keepdims=True) / nc
+            g_sites = np.zeros((self.grid.n_sites, self.d))
+            flat = self.cell_sites.ravel()
+            contrib = np.swapaxes(gF, 1, 2).reshape(-1, self.d)
+            for axis in range(self.d):
+                g_sites[:, axis] = np.bincount(
+                    flat, weights=contrib[:, axis], minlength=self.grid.n_sites
+                )
         if not (np.isfinite(E) and np.all(np.isfinite(g_sites))):
             raise DivergedEvaluation("diverged evaluation")
         g = np.empty(self.n_vars)
-        g[: self.n_free * self.d] = g_sites[self.free_idx].ravel()
+        g[: self.n_free * self.d] = np.take(g_sites, self.free_idx, axis=0).ravel()
         if self.m > 0:
             if self.s0 is not None:
                 g[self.n_free * self.d:] = (gS[:-1] - gS[-1][None]).ravel()

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from cellhom import (Problem, SolveOptions, affine_deformation, buckling_start,
-                     build_grid, lennard_jones, minimize, multi_start_minimize,
-                     pair_potential_model, square_lattice)
+                     build_grid, build_lattice, harmonic_pair, lennard_jones,
+                     minimize, multi_start_minimize, pair_potential_model,
+                     square_lattice)
 from cellhom import solver
-from cellhom.fields import InternalField
+from cellhom.fields import Deformation, InternalField
 from cellhom.solver import DivergedEvaluation, start_fields
 
 from conftest import rotation
@@ -97,6 +98,84 @@ def test_gradient_matches_fd_multilattice(multilattice, rng):
         xm[i] -= h
         fd = (problem.value_and_grad(xp)[0] - problem.value_and_grad(xm)[0]) / (2 * h)
         assert abs(fd - g[i]) <= 1e-6 * max(1.0, abs(fd))
+
+
+# ---------------------------------------------------------------------------
+# the bond path: pair-bond models evaluate the whole sample over one bond table
+# ---------------------------------------------------------------------------
+
+LJ = lennard_jones(1.0, 2 ** (-1 / 6))
+TRIANGULAR = np.array([[1.0, 0.5], [0.0, np.sqrt(3) / 2]])
+
+
+def cell_sum(problem, x):
+    """The per-cell reference: ``energy_many`` and ``gradient_many`` on every
+    interior cell, the cell gradients scattered onto the sites by np.add.at."""
+    y, _ = problem.unpack(x)
+    F = np.swapaxes(y[problem.cell_sites], 1, 2)
+    gF, _ = problem.model.gradient_many(F)
+    g_sites = np.zeros_like(y)
+    np.add.at(g_sites, problem.cell_sites, np.swapaxes(gF, 1, 2))
+    return float(problem.model.energy_many(F).sum()), g_sites[problem.free_idx].ravel()
+
+
+@pytest.mark.parametrize("lattice, potential, cutoff, N", [
+    ("square", None, None, 9),                                   # harmonic springs
+    ("square", LJ, 2.5, 8),
+    ("square", harmonic_pair(1.0, 1.1, shell=1.0), 1.5, 8),      # per-bond rest lengths
+    ("triangular", LJ, 2.5, 8),
+    ("cubic", LJ, 1.8, 5),
+], ids=["harmonic", "lj", "pair_harmonic_shell", "lj_triangular", "lj_cubic"])
+def test_bond_path_matches_cell_sum(lattice, potential, cutoff, N, harmonic, rng):
+    spec = {"square": square_lattice(), "triangular": build_lattice(2, TRIANGULAR),
+            "cubic": build_lattice(3, np.eye(3))}[lattice]
+    model = harmonic if potential is None else pair_potential_model(spec, potential, cutoff)
+    d = spec.d
+    problem = Problem(build_grid(model.spec, N), model, np.eye(d) + 0.03 * rng.standard_normal((d, d)))
+    assert problem.bonds is not None
+    for _ in range(3):
+        x = problem.pack(affine_deformation(problem.grid, problem.M))
+        x = x + 0.05 * rng.standard_normal(x.shape)
+        E_ref, g_ref = cell_sum(problem, x)
+        E, g = problem.value_and_grad(x)
+        assert abs(E - E_ref) <= 1e-12 * abs(E_ref)
+        assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+        assert problem.energy_only(x) == E
+
+
+def test_bond_table_weights(square_spec, harmonic):
+    grid = build_grid(square_spec, 6)
+    r, n = grid.spec.radius, 6 - 2 * grid.spec.radius   # interior cells: an n-box
+    springs = pair_potential_model(square_spec, harmonic_pair(2.0, 1.0, shell=1.0), 1.0)
+    for model, bulk in [(harmonic, 2.0), (springs, 1.0)]:
+        i, j, w, _ = Problem(grid, model, np.eye(2)).bonds
+        assert np.all(i < j) and len(set(zip(i, j))) == len(i)
+        assert len(i) == 2 * n * (n + 1)      # every nearest-neighbour pair once
+        # a pair on a face of the interior-cell box is held by one interior
+        # cell, any other pair by two
+        face = np.any((grid.site_multi[i] == grid.site_multi[j])
+                      & np.isin(grid.site_multi[i], (r, r + n)), axis=1)
+        assert face.sum() == 4 * n
+        assert np.array_equal(w, np.where(face, 0.5 * bulk, bulk)), model.name
+    lj = pair_potential_model(square_spec, LJ, 2.5)
+    problem = Problem(build_grid(lj.spec, 7), lj, np.eye(2))
+    w = problem.bonds[2]
+    assert w.sum() == pytest.approx(problem.n_cells * lj.weights.sum(), rel=1e-12)
+    assert w.max() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_bond_path_coincident_sites_diverge():
+    model = pair_potential_model(square_lattice(), LJ, 2.5)
+    problem = Problem(build_grid(model.spec, 8), model, np.eye(2))
+    y = affine_deformation(problem.grid, np.eye(2)).y.copy()
+    a, b = problem.free_idx[:2]            # neighbours along the last axis
+    y[b] = y[a]
+    x = problem.pack(Deformation(problem.grid, y))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(DivergedEvaluation):
+            problem.energy_only(x)
+        with pytest.raises(DivergedEvaluation):
+            problem.value_and_grad(x)
 
 
 def test_site_forces_balance(harmonic, square_spec, rng):
