@@ -40,7 +40,7 @@ ARTIFACT_VERSION = "0.1.0"
 _TASKS = ("homogenize", "cb_scan", "elastic", "tiling_check")
 _TOP_KEYS = {"lattice", "model", "task", "M", "s0", "schedule", "solver",
              "output", "seed"}
-_LATTICE_KEYS = {"d", "A", "stencil", "m"}
+_LATTICE_KEYS = {"d", "A", "m"}
 _SOLVER_KEYS = {"grad_tol", "max_iter", "history", "n_random_starts",
                 "perturb_amp", "seed", "use_buckling_starts"}
 _MODEL_KEYS = {"name", "params"}
@@ -51,7 +51,6 @@ _DEFAULT_SCHEDULES = {2: [8, 16, 32, 64], 3: [4, 6, 8, 12]}
 @dataclass
 class RunConfig:
     raw: dict
-    lattice: object        # LatticeSpec
     model: object          # EnergyModel
     task: str
     M_list: list
@@ -122,8 +121,7 @@ def parse_config(path) -> RunConfig:
     if len(A_rows) != d or any(len(row) != d for row in A_rows):
         raise ValueError(f"dimension mismatch: A must be {d}x{d}")
     m = int(lat.get("m", 0))
-    spec = build_lattice(d, np.array(A_rows, dtype=float),
-                         stencil_offsets=lat.get("stencil"), m=m)
+    spec = build_lattice(d, np.array(A_rows, dtype=float), m=m)
 
     mdl = _require(raw, "model", "config")
     _reject_unknown(mdl, _MODEL_KEYS, "model block")
@@ -166,7 +164,7 @@ def parse_config(path) -> RunConfig:
     sol.setdefault("seed", seed)
     solver = SolveOptions(**sol)
 
-    return RunConfig(raw=raw, lattice=spec, model=model, task=task,
+    return RunConfig(raw=raw, model=model, task=task,
                      M_list=M_list, s0_list=s0_list, schedule=schedule,
                      solver=solver, seed=seed)
 

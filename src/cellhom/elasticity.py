@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, lattice_vectors_within
 
 __all__ = [
     "ElasticTensor",
@@ -60,18 +60,6 @@ class CauchyReport:
     major_symmetry: float
 
 
-def _lattice_points_within(lattice: LatticeSpec, cutoff: float) -> np.ndarray:
-    reach = int(np.ceil(cutoff * np.linalg.norm(np.linalg.inv(lattice.A), 2))) + 1
-    d = lattice.d
-    grid = np.stack(
-        np.meshgrid(*[np.arange(-reach, reach + 1)] * d, indexing="ij"), axis=-1
-    ).reshape(-1, d)
-    pts = grid @ lattice.A.T
-    r = np.linalg.norm(pts, axis=1)
-    keep = (r > 1e-12) & (r <= cutoff + 1e-12)
-    return pts[keep]
-
-
 def pair_elastic_tensor(V1, V2, lattice: LatticeSpec, cutoff: float) -> ElasticTensor:
     """Direct lattice sum of the pair-potential elastic constants.
 
@@ -83,7 +71,7 @@ def pair_elastic_tensor(V1, V2, lattice: LatticeSpec, cutoff: float) -> ElasticT
     callables of the radius.  The convention matches the ordered-pair
     lattice sum W(M) = sum_{x != 0} V(|Mx|) / |det A|.
     """
-    pts = _lattice_points_within(lattice, cutoff)
+    _, pts = lattice_vectors_within(lattice, cutoff)
     if len(pts) == 0:
         raise ValueError("empty shell set within the cutoff")
     d = lattice.d

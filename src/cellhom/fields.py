@@ -14,12 +14,11 @@ basis, and this module computes those constants once per basis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import CellGrid, LatticeSpec
+from .lattice import CellGrid, LatticeSpec, flat_index, simplex_maps
 
 __all__ = [
     "Deformation",
@@ -131,10 +130,9 @@ _FACE_CACHE: dict = {}
 
 
 def _cell_simplices(d):
+    """(n_pieces, d+1, 2^d) corner weights of the pieces' vertices."""
     if d not in _FACE_CACHE:
-        _FACE_CACHE[d] = [
-            np.stack(s) for s in _face_decomposition(tuple(range(d)), {}, d)
-        ]
+        _FACE_CACHE[d] = np.array(_face_decomposition(tuple(range(d)), {}, d))
     return _FACE_CACHE[d]
 
 
@@ -149,24 +147,18 @@ def interpolate_cell(deformation: Deformation, cell: int) -> list[InterpolationP
     if cell < 0 or cell >= grid.n_cells:
         raise ValueError(f"cell index out of range: {cell}")
     spec = grid.spec
-    d = spec.d
-    k = grid.cell_multi[cell]
-    idx = k[None, :] + spec.offsets_int[: spec.n_corners]
-    sites = np.ravel_multi_index(
-        tuple(idx[:, axis] for axis in range(d)), (grid.N + 1,) * d
-    )
+    sites = flat_index(grid.cell_multi[cell] + spec.offsets_int[: spec.n_corners], grid.N + 1)
     corner_vals = deformation.y[sites]          # (2^d, d)
-    corner_pos = spec.corners.T                  # (2^d, d), cell-local
+    weights = _cell_simplices(spec.d)
+    W, vols = simplex_maps(weights, spec.corners.T)
+    return [InterpolationPiece(wt @ spec.corners.T, wt @ corner_vals, corner_vals.T @ Wp, vol)
+            for wt, Wp, vol in zip(weights, W, vols)]
 
-    pieces = []
-    for weights in _cell_simplices(d):           # (d+1, 2^d)
-        verts = weights @ corner_pos
-        vals = weights @ corner_vals
-        X = (verts[1:] - verts[0]).T
-        G = (vals[1:] - vals[0]).T @ np.linalg.inv(X)
-        vol = abs(np.linalg.det(X)) / math.factorial(d)
-        pieces.append(InterpolationPiece(verts, vals, G, vol))
-    return pieces
+
+def _ratio(F, mats, fracs, p):
+    """Cell average over the pieces of |(corner block of F) @ W|^p, over |F|^p."""
+    return sum(frac * np.linalg.norm(F[:, :len(W)] @ W) ** p
+               for W, frac in zip(mats, fracs)) / np.linalg.norm(F) ** p
 
 
 def gradient_equivalence_ratio(deformation: Deformation, cell: int, p: float):
@@ -177,13 +169,9 @@ def gradient_equivalence_ratio(deformation: Deformation, cell: int, p: float):
     sample value, to be compared against the certified interval.
     """
     F = discrete_gradient(deformation, cell)
-    nF = np.linalg.norm(F)
-    if nF <= 1e-14:
+    if np.linalg.norm(F) <= 1e-14:
         raise ValueError("ratio undefined: zero discrete gradient")
-    pieces = interpolate_cell(deformation, cell)
-    cellvol = deformation.grid.spec.det_abs
-    avg = sum(pc.volume * np.linalg.norm(pc.gradient) ** p for pc in pieces) / cellvol
-    ratio = avg / nF**p
+    ratio = _ratio(F, *_piece_maps(deformation.grid.spec), p)
     return ratio, ratio
 
 
@@ -209,18 +197,9 @@ def _zero_rowsum_basis(d, n):
 
 
 def _piece_maps(spec: LatticeSpec):
-    """(weights, volume fractions) of the barycentric pieces: G = F @ B."""
-    d = spec.d
-    corner_pos = spec.corners.T
-    mats, fracs = [], []
-    for weights in _cell_simplices(d):
-        verts = weights @ corner_pos
-        X = (verts[1:] - verts[0]).T
-        # vertex values are weights @ F^T, so the piece gradient is F @ W
-        W = (weights[1:] - weights[0]).T @ np.linalg.inv(X)
-        mats.append(W)
-        fracs.append(abs(np.linalg.det(X)) / math.factorial(d) / spec.det_abs)
-    return mats, np.array(fracs)
+    """(maps, volume fractions) of the barycentric pieces: G = F @ maps[s]."""
+    W, vols = simplex_maps(_cell_simplices(spec.d), spec.corners.T)
+    return W, vols / spec.det_abs
 
 
 _BOUND_CACHE: dict = {}
@@ -243,12 +222,6 @@ def certified_ratio_bounds(spec: LatticeSpec, p: float):
     mats, fracs = _piece_maps(spec)
     basis = _zero_rowsum_basis(d, n)
 
-    def ratio(F):
-        val = 0.0
-        for W, frac in zip(mats, fracs):
-            val += frac * np.linalg.norm(F @ W) ** p
-        return val / np.linalg.norm(F) ** p
-
     if p == 2:
         rows = []
         for E in basis:
@@ -269,7 +242,7 @@ def certified_ratio_bounds(spec: LatticeSpec, p: float):
 
         def ratio_coords(c):
             F = sum(ci * E for ci, E in zip(c, basis))
-            return ratio(F)
+            return _ratio(F, mats, fracs, p)
 
         vals = np.array([ratio_coords(c) for c in samples])
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import Deformation, InternalField
-from .lattice import build_grid
+from .lattice import build_grid, flat_index, integer_box
 from .models import EnergyModel
 from .solver import Problem, SolveOptions, multi_start_minimize
 
@@ -193,41 +193,27 @@ def tiling_upper_bound_check(model: EnergyModel, M, n: int, k: int,
 
     res_n = _solve(model, M, n, opts, s0=s0)
     grid_n = res_n.argmin.grid
-
     grid_k = build_grid(model.spec, k)
     reps = k // n
-    y_k = np.empty((grid_k.n_sites, d))
-    y_n = res_n.argmin.y.reshape(*(n + 1,) * d, d)
-    tile_multi = np.stack(
-        np.meshgrid(*[np.arange(reps)] * d, indexing="ij"), axis=-1
-    ).reshape(-1, d)
-    site_shape = (k + 1,) * d
-    for t in tile_multi:
-        offset = A @ (n * t).astype(float)
-        shift = M @ offset
-        local = np.stack(
-            np.meshgrid(*[np.arange(n + 1)] * d, indexing="ij"), axis=-1
-        ).reshape(-1, d)
-        glob = local + n * t
-        flat = np.ravel_multi_index(tuple(glob[:, ax] for ax in range(d)), site_shape)
-        y_k[flat] = y_n.reshape(-1, d) + shift
-    # keep the k-box datum exact on its own pinned layer
-    y_k[~grid_k.free_mask] = (grid_k.site_coords @ M.T)[~grid_k.free_mask]
+
+    # site m of the k-box copies site m - n t of tile t; a site shared by
+    # several tiles takes the last of them, t = min(m // n, reps - 1)
+    tiles = integer_box(0, reps - 1, d)
+    shifts = (n * tiles).astype(float) @ A.T @ M.T
+    t = np.minimum(grid_k.site_multi // n, reps - 1)
+    y_k = (res_n.argmin.y[flat_index(grid_k.site_multi - n * t, n + 1)]
+           + shifts[flat_index(t, reps)])
     tiled = Deformation(grid_k, y_k)
 
     internal_k = None
     if model.m > 0:
-        s_k = np.tile(
-            (np.zeros((d, model.m)) if s0 is None else np.asarray(s0, dtype=float))[None],
-            (grid_k.n_interior, 1, 1))
-        int_mult_n = grid_n.cell_multi[grid_n.interior_mask]
-        int_index_k = {tuple(c): i for i, c in
-                       enumerate(grid_k.cell_multi[grid_k.interior_mask])}
-        for t in tile_multi:
-            for local_cell, s_val in zip(int_mult_n, res_n.internal.s):
-                pos = int_index_k.get(tuple(local_cell + n * t))
-                if pos is not None:
-                    s_k[pos] = s_val
+        # interior cell c of the k-box copies cell c % n of the n-box when
+        # that one is interior, and starts from s0 (or zero) otherwise
+        lookup = np.full(grid_n.n_cells, -1)
+        lookup[grid_n.interior_mask] = np.arange(grid_n.n_interior)
+        pos = lookup[flat_index(grid_k.cell_multi[grid_k.interior_mask] % n, n)]
+        s_base = np.zeros((d, model.m)) if s0 is None else np.asarray(s0, dtype=float)
+        s_k = np.where((pos >= 0)[:, None, None], res_n.internal.s[pos], s_base)
         internal_k = InternalField(grid_k, s_k)
 
     problem_k = Problem(grid_k, model, M, s0=s0)

@@ -18,6 +18,7 @@ the first axis).  That ordering is part of a model's identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,16 +30,50 @@ __all__ = [
     "build_grid",
     "cell_sites",
     "square_lattice",
+    "integer_box",
+    "flat_index",
+    "lattice_vectors_within",
+    "simplex_maps",
 ]
 
 
-def _corner_fractions(d: int) -> np.ndarray:
-    """The 2^d points of {-1/2, 1/2}^d in binary column order."""
-    corners = np.empty((2**d, d))
-    for j in range(2**d):
-        for axis in range(d):
-            corners[j, axis] = ((j >> axis) & 1) - 0.5
-    return corners
+def integer_box(lo: int, hi: int, d: int) -> np.ndarray:
+    """Every integer vector of {lo..hi}^d, shape ((hi-lo+1)^d, d), in
+    lexicographic order with the first axis slowest."""
+    axes = np.meshgrid(*[np.arange(lo, hi + 1)] * d, indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, d)
+
+
+def flat_index(multi, side: int) -> np.ndarray:
+    """Positions of the multi-indices ``multi`` (..., d) in ``integer_box(0,
+    side - 1, d)``; the sites of an N-box have side N + 1, its cells N."""
+    multi = np.asarray(multi)
+    return np.ravel_multi_index(tuple(np.moveaxis(multi, -1, 0)), (side,) * multi.shape[-1])
+
+
+def lattice_vectors_within(spec: "LatticeSpec", cutoff: float):
+    """(k, A k) for the integer vectors k with 0 < |A k| <= cutoff."""
+    reach = int(np.ceil(cutoff * np.linalg.norm(np.linalg.inv(spec.A), 2))) + 1
+    k = integer_box(-reach, reach, spec.d)
+    x = k @ spec.A.T
+    r = np.linalg.norm(x, axis=1)
+    keep = (r > 1e-12) & (r <= cutoff + 1e-12)
+    return k[keep], x[keep]
+
+
+def simplex_maps(weights, corners):
+    """Gradient maps and volumes of simplices spanned by cell corners.
+
+    ``weights`` (S, d+1, n) gives each vertex of each simplex as a convex
+    combination of the n corner positions ``corners`` (n, d).  Returns W
+    (S, n, d) and the volumes (S,): corner values F (d, n) interpolate
+    affinely on simplex s with the constant gradient F @ W[s].
+    """
+    weights = np.asarray(weights, dtype=float)
+    verts = weights @ corners
+    X = np.swapaxes(verts[:, 1:] - verts[:, :1], 1, 2)      # edges as columns
+    W = np.swapaxes(weights[:, 1:] - weights[:, :1], 1, 2) @ np.linalg.inv(X)
+    return W, np.abs(np.linalg.det(X)) / math.factorial(X.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -125,17 +160,10 @@ def build_lattice(d, A, stencil_offsets=None, m=0) -> LatticeSpec:
         # Own cell comes first regardless of the caller's ordering.
         offsets = [(0,) * d] + [off for off in offsets if off != (0,) * d]
 
-    fr = _corner_fractions(d)
-    seen = set()
-    frac_cols = []
-    for cell_off in offsets:
-        for v in fr:
-            key = tuple((np.asarray(cell_off) + v + 0.5).astype(int))
-            if key in seen:
-                continue
-            seen.add(key)
-            frac_cols.append(np.asarray(cell_off) + v)
-    frac = np.array(frac_cols)  # (n_cols, d), half-integer entries
+    fr = integer_box(0, 1, d)[:, ::-1] - 0.5   # {-1/2, 1/2}^d, binary order
+    # every cell's corners, each site kept at its first appearance
+    frac = (np.asarray(offsets)[:, None, :] + fr[None]).reshape(-1, d)
+    frac = frac[np.sort(np.unique(frac, axis=0, return_index=True)[1])]
     radius = 1 + max(int(np.max(np.abs(off))) for off in offsets)
 
     corners = (A @ fr.T).copy()
@@ -229,14 +257,10 @@ def build_grid(spec: LatticeSpec, N: int) -> CellGrid:
     if N <= 2 * r:
         raise ValueError(f"no interior cells: need N > {2 * r}, got N = {N}")
 
-    cell_multi = np.stack(
-        np.meshgrid(*[np.arange(N)] * d, indexing="ij"), axis=-1
-    ).reshape(-1, d)
+    cell_multi = integer_box(0, N - 1, d)
     interior_mask = np.all((cell_multi >= r) & (cell_multi <= N - 1 - r), axis=1)
 
-    site_multi = np.stack(
-        np.meshgrid(*[np.arange(N + 1)] * d, indexing="ij"), axis=-1
-    ).reshape(-1, d)
+    site_multi = integer_box(0, N, d)
     site_coords = site_multi @ spec.A.T
     free_mask = np.all((site_multi >= r + 1) & (site_multi <= N - 1 - r), axis=1)
 
@@ -244,9 +268,7 @@ def build_grid(spec: LatticeSpec, N: int) -> CellGrid:
     idx = interior_multi[:, None, :] + spec.offsets_int[None, :, :]
     if idx.min() < 0 or idx.max() > N:
         raise ValueError("stencil reaches outside the box")
-    interior_cell_sites = np.ravel_multi_index(
-        tuple(idx[..., axis] for axis in range(d)), (N + 1,) * d
-    )
+    interior_cell_sites = flat_index(idx, N + 1)
 
     return CellGrid(
         spec=spec,
@@ -275,6 +297,4 @@ def cell_sites(grid: CellGrid, cell: int) -> np.ndarray:
     idx = k[None, :] + grid.spec.offsets_int
     if idx.min() < 0 or idx.max() > grid.N:
         raise ValueError(f"stencil site out of range for boundary cell {cell}")
-    return np.ravel_multi_index(
-        tuple(idx[:, axis] for axis in range(grid.spec.d)), (grid.N + 1,) * grid.spec.d
-    )
+    return flat_index(idx, grid.N + 1)

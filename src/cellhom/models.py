@@ -24,13 +24,13 @@ the offending term.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .lattice import LatticeSpec, build_lattice
+from .lattice import (LatticeSpec, build_lattice, integer_box, lattice_vectors_within,
+                      simplex_maps)
 
 __all__ = [
     "EnergyModel",
@@ -89,21 +89,24 @@ class EnergyModel:
 
     # -- batched interface ------------------------------------------------
 
-    def _center(self, F):
-        nc = self.spec.n_corners
-        return F - F[:, :, :nc].mean(axis=2, keepdims=True)
-
     def energy_many(self, F, S=None) -> np.ndarray:
         """Energies of a batch of cells; F has shape (B, d, n_cols)."""
-        return self._energy(self._center(np.asarray(F, dtype=float)), S)
+        return self._cells(np.asarray(F, dtype=float), S, False)
 
     def gradient_many(self, F, S=None):
         """Batched (dE/dF, dE/dS); shapes match the inputs."""
-        F = np.asarray(F, dtype=float)
-        _, (gF, gS) = self._energy_gradient(self._center(F), S)
+        return self._cells(np.asarray(F, dtype=float), S, True)[1]
+
+    def _cells(self, F, S, grad):
+        """The kernel on cells F (B, d, n_cols) centred on their corner mean;
+        with ``grad`` the gradient is chained back through the centring."""
         nc = self.spec.n_corners
+        F = F - F[:, :, :nc].mean(axis=2, keepdims=True)
+        if not grad:
+            return self._energy(F, S)
+        E, (gF, gS) = self._energy_gradient(F, S)
         gF[:, :, :nc] -= gF.sum(axis=2, keepdims=True) / nc
-        return gF, gS
+        return E, (gF, gS)
 
     # -- single-cell convenience -------------------------------------------
 
@@ -195,14 +198,9 @@ class _BondModel(EnergyModel):
 
 
 def _cell_edges(d: int) -> np.ndarray:
-    """Corner-index pairs of the d*2^(d-1) unit-cell edges."""
-    edges = []
-    for i in range(2**d):
-        for axis in range(d):
-            j = i | (1 << axis)
-            if j != i:
-                edges.append((i, j))
-    return np.array(sorted(set(edges)))
+    """Corner-index pairs (i, j) of the d*2^(d-1) unit-cell edges, sorted:
+    j sets one bit that i lacks."""
+    return np.array([(i, i | 1 << a) for i in range(2**d) for a in range(d) if not i >> a & 1])
 
 
 class HarmonicSpringModel(_BondModel):
@@ -316,27 +314,6 @@ class PairPotentialModel(_BondModel):
         return self.potential.deriv(rest, L)
 
 
-def _stencil_cells_for_cutoff(d, A, cutoff):
-    """Smallest box of cell offsets whose corner set realizes every bond.
-
-    A separation vector delta is in range when |A delta| <= cutoff; the
-    corners of the cells {|c|_inf <= R} provide all site offsets in
-    {-R..R+1}^d, whose differences cover |delta|_inf <= 2R+1.
-    """
-    reach = int(np.ceil(cutoff * np.linalg.norm(np.linalg.inv(A), 2))) + 1
-    deltas = np.stack(np.meshgrid(*[np.arange(-reach, reach + 1)] * d, indexing="ij"),
-                      axis=-1).reshape(-1, d)
-    lengths = np.linalg.norm(deltas @ A.T, axis=1)
-    in_range = deltas[(lengths > 1e-12) & (lengths <= cutoff + 1e-12)]
-    if len(in_range) == 0:
-        raise ValueError("empty stencil: cutoff below the nearest-neighbour distance")
-    dmax = int(np.max(np.abs(in_range)))
-    R = dmax // 2  # smallest R with 2R+1 >= dmax
-    box = np.stack(np.meshgrid(*[np.arange(-R, R + 1)] * d, indexing="ij"),
-                   axis=-1).reshape(-1, d)
-    return [tuple(int(x) for x in c) for c in box]
-
-
 def pair_potential_model(spec: LatticeSpec, potential: PairPotential,
                          cutoff: float) -> EnergyModel:
     """Finite-range pair interactions split over cells.
@@ -351,38 +328,28 @@ def pair_potential_model(spec: LatticeSpec, potential: PairPotential,
     the Cauchy-Born density of this model is half the ordered-pair lattice
     sum sum_{x != 0} V(|Mx|)/|det A|.
     """
-    d, A = spec.d, spec.A
     if spec.m != 0:
         raise ValueError("pair potential model is defined on Bravais lattices")
-    cells = _stencil_cells_for_cutoff(d, A, cutoff)
-    model_spec = build_lattice(d, A, stencil_offsets=cells, m=0)
-
-    off = model_spec.offsets_int  # (n_cols, d), site offsets
-    pos = model_spec.stencil.T    # (n_cols, d), Cartesian
-    offset_set = {tuple(o) for o in off}
-    bonds, weights, rests = [], [], []
-    n = len(off)
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = np.linalg.norm(pos[i] - pos[j])
-            if r > cutoff + 1e-12:
-                continue
-            # cells c containing both sites: (off_i - c) and (off_j - c)
-            # must both be stencil offsets.
-            count = 0
-            for o in offset_set:
-                c = tuple(off[i] - np.asarray(o))
-                if tuple(np.asarray(off[j]) - np.asarray(c)) in offset_set:
-                    count += 1
-            bonds.append((i, j))
-            weights.append(1.0 / count)
-            rests.append(r)
-    if not bonds:
+    deltas, _ = lattice_vectors_within(spec, cutoff)
+    if len(deltas) == 0:
         raise ValueError("empty stencil: cutoff below the nearest-neighbour distance")
-    return PairPotentialModel(
-        model_spec, potential, float(cutoff),
-        np.array(bonds), np.array(weights), np.array(rests),
-    )
+    # The corners of the cells {|c|_inf <= R} are the sites {-R..R+1}^d,
+    # whose differences cover |delta|_inf <= 2R+1: the smallest such R.
+    R = int(np.max(np.abs(deltas))) // 2
+    model_spec = build_lattice(spec.d, spec.A, stencil_offsets=integer_box(-R, R, spec.d))
+
+    off = model_spec.offsets_int  # (n_cols, d), site offsets in {-R..R+1}^d
+    pos = model_spec.stencil.T    # (n_cols, d), Cartesian
+    i, j = np.triu_indices(len(off), k=1)
+    b = pos[i] - pos[j]
+    r = np.sqrt((b[:, None, :] @ b[:, :, None])[:, 0, 0])   # rounds as norm(b[p]) does
+    bond = r <= cutoff + 1e-12
+    i, j, r = i[bond], j[bond], r[bond]
+    # The cells c whose stencil holds both sites number, per axis,
+    # 2 * radius - |off_i - off_j| (both off - c must lie in {-R..R+1}).
+    count = np.prod(2 * model_spec.radius - np.abs(off[i] - off[j]), axis=1)
+    return PairPotentialModel(model_spec, potential, float(cutoff),
+                              np.stack([i, j], axis=1), 1.0 / count, r)
 
 
 # ---------------------------------------------------------------------------
@@ -405,39 +372,29 @@ class SimplicialDecomposition:
     corner_ids: list = field(default=None)
 
     def validate(self, spec: LatticeSpec, n_probe=2048, seed=7):
-        vols = []
-        ids = []
         corners = spec.corners.T  # (2^d, d)
-        for verts in self.simplices:
-            verts = np.asarray(verts, dtype=float)
-            if verts.shape != (self.d + 1, self.d):
-                raise ValueError("bad decomposition: simplex has wrong shape")
-            edge = (verts[1:] - verts[0]).T
-            vols.append(abs(np.linalg.det(edge)) / math.factorial(self.d))
-            match = []
-            for v in verts:
-                hits = np.nonzero(np.linalg.norm(corners - v, axis=1) < 1e-9)[0]
-                if len(hits) != 1:
-                    raise ValueError("bad decomposition: vertex is not a cell corner")
-                match.append(int(hits[0]))
-            ids.append(match)
-        vols = np.array(vols)
+        if any(np.shape(verts) != (self.d + 1, self.d) for verts in self.simplices):
+            raise ValueError("bad decomposition: simplex has wrong shape")
+        verts = np.asarray(self.simplices, dtype=float).reshape(-1, self.d + 1, self.d)
+        hits = np.linalg.norm(verts[:, :, None] - corners, axis=-1) < 1e-9
+        if np.any(hits.sum(axis=-1) != 1):
+            raise ValueError("bad decomposition: vertex is not a cell corner")
+        ids = hits.argmax(axis=-1)                       # (S, d+1) corner columns
+        W, vols = simplex_maps(np.eye(len(corners))[ids], corners)
         if abs(vols.sum() - spec.det_abs) > 1e-9 * max(1.0, spec.det_abs):
             raise ValueError("bad decomposition: volumes do not sum to the cell volume")
-        # overlap-on-null-sets check at random probe points
+        # overlap-on-null-sets check at random probe points; row ids[k] of
+        # W maps a point to its barycentric coordinate on vertex k >= 1
         rng = np.random.default_rng(seed)
         probes = (rng.random((n_probe, self.d)) - 0.5) @ spec.A.T
         inside = np.zeros(n_probe, dtype=int)
-        for verts in self.simplices:
-            verts = np.asarray(verts, dtype=float)
-            T = np.linalg.inv((verts[1:] - verts[0]).T)
-            lam = (probes - verts[0]) @ T.T
-            ok = (lam > 1e-10).all(axis=1) & (lam.sum(axis=1) < 1 - 1e-10)
-            inside += ok
+        for Ws, match in zip(W, ids):
+            lam = (probes - corners[match[0]]) @ Ws[match[1:]].T
+            inside += (lam > 1e-10).all(axis=1) & (lam.sum(axis=1) < 1 - 1e-10)
         if inside.max() > 1:
             raise ValueError("bad decomposition: simplices overlap")
         self.volumes = vols
-        self.corner_ids = ids
+        self.corner_ids = ids.tolist()
         return self
 
 
@@ -451,18 +408,10 @@ def kuhn_decomposition(spec: LatticeSpec) -> SimplicialDecomposition:
     """
     from itertools import permutations
 
-    d = spec.d
-    lo = np.full(d, -0.5)
-    simplices = []
-    for perm in permutations(range(d)):
-        verts = [lo.copy()]
-        v = lo.copy()
-        for axis in perm:
-            v = v.copy()
-            v[axis] += 1.0
-            verts.append(v)
-        simplices.append(np.array(verts) @ spec.A.T)
-    return SimplicialDecomposition(d=d, simplices=simplices).validate(spec)
+    # bit j of a corner's column index is its coordinate on axis j, so each
+    # step of the walk from corner 0 sets one bit
+    walks = [np.cumsum([0] + [1 << axis for axis in perm]) for perm in permutations(range(spec.d))]
+    return SimplicialDecomposition(d=spec.d, simplices=[spec.corners.T[w] for w in walks]).validate(spec)
 
 
 @dataclass(frozen=True)
@@ -515,18 +464,8 @@ class QuasiconvexWrapperModel(EnergyModel):
         )
         self.density = density
         self.decomp = decomp
-        # Per simplex: G_S(F) = F @ B_S with B_S = (E_sel) @ Xinv, a fixed
-        # (n_cols, d) matrix; precomputed once.
-        mats = []
-        for verts, ids in zip(decomp.simplices, decomp.corner_ids):
-            verts = np.asarray(verts, dtype=float)
-            Xinv = np.linalg.inv((verts[1:] - verts[0]).T)
-            B = np.zeros((spec.n_cols, spec.d))
-            for col, cid in enumerate(ids[1:]):
-                B[cid] += Xinv[col]
-                B[ids[0]] -= Xinv[col]
-            mats.append(B)
-        self._B = np.stack(mats)          # (n_simplices, n_cols, d)
+        # Per simplex: G_S(F) = F @ B_S, a fixed (n_cols, d) matrix.
+        self._B, _ = simplex_maps(np.eye(spec.n_cols)[decomp.corner_ids], spec.corners.T)
         self._w = decomp.volumes.copy()   # (n_simplices,)
         # Cell-level growth constants are exact for quadratic densities:
         # sum_S |S| |F B_S|^2 is a quadratic form whose extreme eigenvalues

@@ -109,9 +109,9 @@ class Problem:
         self.cell_sites = grid.interior_cell_sites
         self.n_cells = self.cell_sites.shape[0]
         self.bonds = model._sample_bonds(self.cell_sites)
-
-        base = affine_deformation(grid, self.M)
-        self.pinned_values = base.y[~grid.free_mask].copy()
+        # unpack copies the affine datum and writes the free block into it
+        self._template = affine_deformation(grid, self.M).y
+        self._free_flat = (self.d * self.free_idx[:, None] + np.arange(self.d)).ravel()
 
         self.m = model.m
         if self.m > 0:
@@ -142,9 +142,8 @@ class Problem:
         return x
 
     def unpack(self, x):
-        y = np.empty((self.grid.n_sites, self.d))
-        y[~self.grid.free_mask] = self.pinned_values
-        y[self.free_idx] = x[: self.n_free * self.d].reshape(self.n_free, self.d)
+        y = self._template.copy()
+        np.put(y, self._free_flat, x[: self.n_free * self.d])
         s = None
         if self.m > 0:
             if self.s0 is not None:
@@ -167,7 +166,8 @@ class Problem:
         return InternalField(self.grid, s)
 
     def start_vector(self, deformation: Deformation, internal: InternalField | None = None):
-        if not np.array_equal(deformation.y[~self.grid.free_mask], self.pinned_values):
+        pinned = ~self.grid.free_mask
+        if not np.array_equal(deformation.y[pinned], self._template[pinned]):
             raise ValueError("start does not satisfy the boundary pinning")
         return self.pack(deformation, internal)
 
@@ -185,24 +185,22 @@ class Problem:
         energy or site gradient.
         """
         y, s = self.unpack(x)
-        nc = self.grid.spec.n_corners
         if self.bonds is not None:
-            F = y.T[None]                                # (1, d, n_sites)
+            kernel = self.model._energy_gradient if grad else self.model._energy
+            out = kernel(y.T[None], s, self.bonds)       # F: (1, d, n_sites)
         else:
-            F = np.swapaxes(y[self.cell_sites], 1, 2)    # (C, d, n_cols)
-            F = F - F[:, :, :nc].mean(axis=2, keepdims=True)
+            F = np.swapaxes(np.take(y, self.cell_sites, axis=0), 1, 2)  # (C, d, n_cols)
+            out = self.model._cells(F, s, grad)
         if not grad:
-            E = float(self.model._energy(F, s, self.bonds).sum())
+            E = float(out.sum())
             if not np.isfinite(E):
                 raise DivergedEvaluation("diverged evaluation")
             return E
-        E_cells, (gF, gS) = self.model._energy_gradient(F, s, self.bonds)
+        E_cells, (gF, gS) = out
         E = float(E_cells.sum())
         if self.bonds is not None:
             g_sites = gF[0].T
         else:
-            # chain through the corner-mean subtraction
-            gF[:, :, :nc] -= gF.sum(axis=2, keepdims=True) / nc
             g_sites = np.zeros((self.grid.n_sites, self.d))
             flat = self.cell_sites.ravel()
             contrib = np.swapaxes(gF, 1, 2).reshape(-1, self.d)
@@ -413,13 +411,14 @@ def _rng_for_start(seed: int, index: int) -> np.random.Generator:
 
 
 def _min_bond_length(problem: Problem, x) -> float:
+    """Shortest distance between two stencil sites of one interior cell, at
+    least one of them free: the start jitter cannot part a pinned pair."""
     y, _ = problem.unpack(x)
-    Y = y[problem.cell_sites]            # (C, n_cols, d)
-    diffs = Y[:, :, None, :] - Y[:, None, :, :]
-    L = np.linalg.norm(diffs, axis=-1)
-    n = L.shape[1]
-    iu = np.triu_indices(n, k=1)
-    return float(L[:, iu[0], iu[1]].min())
+    Y = np.take(y, problem.cell_sites, axis=0)           # (C, n_cols, d)
+    L = np.linalg.norm(Y[:, :, None, :] - Y[:, None, :, :], axis=-1)
+    free = problem.grid.free_mask[problem.cell_sites]
+    movable = (free[:, :, None] | free[:, None, :]) & ~np.eye(L.shape[1], dtype=bool)
+    return float(L[movable].min(initial=np.inf))
 
 
 def start_fields(problem: Problem, opts: SolveOptions):

@@ -22,8 +22,9 @@ from cellhom import (QuadraticForm, SolveOptions, build_grid, build_lattice,
                      quadratic_model_hessian_check, quasiconvex_wrapper_model,
                      square_lattice, tiling_upper_bound_check, w_cont_estimate)
 from cellhom.cli import parse_config, run
-from cellhom.elasticity import _lattice_points_within, cauchy_residuals
+from cellhom.elasticity import cauchy_residuals
 from cellhom.fields import _piece_maps, affine_deformation
+from cellhom.lattice import lattice_vectors_within
 
 from conftest import fd_gradient, rotation
 
@@ -191,7 +192,7 @@ def test_criterion_08_hessian_identity_and_cauchy(square_spec):
     # stress-free pair potentials obey the relations to round-off
     worst = 0.0
     for lattice, cutoff in ((square_lattice(), 2.5), (build_lattice(3, np.eye(3)), 2.5)):
-        r = np.linalg.norm(_lattice_points_within(lattice, cutoff), axis=1)
+        r = np.linalg.norm(lattice_vectors_within(lattice, cutoff)[1], axis=1)
         sigma = float((np.sum(r**-6.0) / (2.0 * np.sum(r**-12.0))) ** (1 / 6))
         v1, v2 = lennard_jones(1.0, sigma).at_rest()
         tensor = pair_elastic_tensor(v1, v2, lattice, cutoff)

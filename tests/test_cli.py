@@ -65,6 +65,16 @@ def test_parse_unknown_keys_rejected(tmp_path):
         parse_config(path)
 
 
+def test_parse_stencil_key_rejected(tmp_path):
+    # every model builds its own stencil: a pair model used to keep its
+    # cutoff's stencil and silently drop this one
+    lattice = {"d": 2, "A": [[1.0, 0.0], [0.0, 1.0]], "stencil": [[0, 0], [1, 0]]}
+    path = write_config(tmp_path, lattice=lattice,
+                        model={"name": "pair_lj", "params": {"cutoff": 1.5}})
+    with pytest.raises(ValueError, match="unknown keys in lattice block"):
+        parse_config(path)
+
+
 def test_parse_unknown_model_params_rejected(tmp_path):
     for model in ({"name": "harmonic", "params": {"k": 1.0, "r_0": 1.3}},
                   {"name": "pair_lj", "params": {"cutof": 1.5}}):

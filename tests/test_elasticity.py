@@ -28,8 +28,8 @@ def test_nearest_neighbour_hand_sum(square_spec):
 def equilibrium_lj_sigma(lattice, cutoff):
     """Closed-form sigma that makes the truncated LJ lattice stress-free:
     the pressure sum 24 sigma^6 S6 - 48 sigma^12 S12 vanishes."""
-    from cellhom.elasticity import _lattice_points_within
-    r = np.linalg.norm(_lattice_points_within(lattice, cutoff), axis=1)
+    from cellhom.lattice import lattice_vectors_within
+    r = np.linalg.norm(lattice_vectors_within(lattice, cutoff)[1], axis=1)
     s6 = np.sum(r**-6.0)
     s12 = np.sum(r**-12.0)
     return float((s6 / (2.0 * s12)) ** (1.0 / 6.0))

@@ -107,6 +107,17 @@ def test_tiling_compression(harmonic):
     assert tiled <= n_value + 0.25 * (32**2 - 16 * 6**2) / 32**2 + 1e-9
 
 
+@pytest.mark.parametrize("s0", [None, [[0.02], [0.01]]], ids=["relaxed", "s0"])
+def test_tiling_multilattice(multilattice, s0):
+    s0 = None if s0 is None else np.array(s0)
+    M = np.array([[1.05, 0.02], [0.0, 0.97]])
+    solved, tiled = tiling_upper_bound_check(multilattice, M, 4, 8, TINY, s0=s0)
+    assert solved <= tiled + 1e-9
+    # the minimizer is affine with one internal shift in every cell, so the
+    # tiled field, internal shifts included, reproduces it
+    assert solved == pytest.approx(tiled, rel=1e-12)
+
+
 def test_tiling_requires_multiple(harmonic):
     with pytest.raises(ValueError, match="multiple"):
         tiling_upper_bound_check(harmonic, np.eye(2), 8, 12, TINY)

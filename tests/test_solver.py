@@ -162,6 +162,17 @@ def test_bond_table_weights(square_spec, harmonic):
     w = problem.bonds[2]
     assert w.sum() == pytest.approx(problem.n_cells * lj.weights.sum(), rel=1e-12)
     assert w.max() == pytest.approx(1.0, rel=1e-12)
+    # each one-cell weight is 1 / (number of cells whose stencil holds the
+    # pair): cell c holds it when off_i - c and off_j - c are both stencil
+    # site offsets
+    for spec, cutoff in [(square_spec, 2.5), (build_lattice(2, TRIANGULAR), 1.8),
+                         (build_lattice(3, np.eye(3)), 2.0)]:
+        model = pair_potential_model(spec, LJ, cutoff)
+        off = model.spec.offsets_int
+        sites = {tuple(o) for o in off}
+        for (a, b), weight in zip(model.bonds, model.weights):
+            count = sum(tuple(np.add(s, off[b] - off[a])) in sites for s in sites)
+            assert weight == 1.0 / count
 
 
 def test_bond_path_coincident_sites_diverge():
@@ -187,6 +198,32 @@ def test_site_forces_balance(harmonic, square_spec, rng):
         F = np.diag([1.3, 0.8]) @ square_spec.corners + 0.3 * rng.standard_normal((2, 4))
         gF, _ = harmonic.gradient(F)
         assert np.abs(gF.sum(axis=1)).max() < 1e-12
+
+
+def test_start_jitter_ignores_pinned_pairs(square_spec, harmonic):
+    # M = diag(1, 0) collapses the pinned sites of each column onto one
+    # point, which no jitter of the free sites can part
+    M = np.diag([1.0, 0.0])
+    problem = Problem(build_grid(square_spec, 6), harmonic, M)
+    opts = SolveOptions(n_random_starts=1)
+    starts = {label: dfm for label, dfm, _ in start_fields(problem, opts)}
+    assert list(starts) == ["affine", "random-0"]
+    affine = affine_deformation(problem.grid, M).y
+    noise = solver._rng_for_start(opts.seed, 0).uniform(
+        -opts.perturb_amp, opts.perturb_amp, size=(problem.n_free, 2))
+    expected = affine.copy()
+    expected[problem.free_idx] += noise
+    assert np.array_equal(starts["random-0"].y, expected)
+    # the affine start collapses free pairs too; its jitter parts them
+    y = starts["affine"].y
+    assert not np.array_equal(y, affine)
+    free = problem.grid.free_mask
+    n = problem.cell_sites.shape[1]
+    for a in range(n):
+        for b in range(a + 1, n):
+            i, j = problem.cell_sites[:, a], problem.cell_sites[:, b]
+            held = free[i] | free[j]
+            assert np.linalg.norm(y[i[held]] - y[j[held]], axis=1).min() >= 1e-8
 
 
 def test_minimize_converges_at_critical_start(grid5, harmonic):
