@@ -145,6 +145,8 @@ def parse_config(path) -> RunConfig:
     if raw.get("s0") is not None:
         if model.m == 0:
             raise ValueError("internal variables undefined for Bravais model")
+        if task in ("cb_scan", "elastic"):
+            raise ValueError(f"s0 is not used by task '{task}'")
         s0_list = [np.asarray(v, dtype=float).reshape(d, model.m)
                    for v in raw["s0"]]
         if len(s0_list) not in (1, len(M_list)):
@@ -235,11 +237,8 @@ def _write_plotdata(out_dir, tag, est):
 
 
 def _s0_for(config, i):
-    if config.s0_list is None:
-        return None
-    if len(config.s0_list) == 1:
-        return config.s0_list[0]
-    return config.s0_list[i]
+    s0 = config.s0_list
+    return None if s0 is None else s0[0 if len(s0) == 1 else i]
 
 
 def _run_homogenize(config: RunConfig):
@@ -300,10 +299,10 @@ def _run_elastic(config: RunConfig):
 def _run_tiling(config: RunConfig):
     n = config.schedule[0]
     checks = []
-    for M in config.M_list:
+    for i, M in enumerate(config.M_list):
         for k in config.schedule[1:]:
-            solved, tiled = hm.tiling_upper_bound_check(config.model, M, n, k,
-                                                        config.solver)
+            solved, tiled = hm.tiling_upper_bound_check(config.model, M, n, k, config.solver,
+                                                        s0=_s0_for(config, i))
             checks.append({
                 "M": np.asarray(M).reshape(-1).tolist(),
                 "n": n, "k": k,

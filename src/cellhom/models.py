@@ -156,8 +156,8 @@ class _BondModel(EnergyModel):
     def _set_bonds(self, bonds, weights, rest):
         self.bonds = np.asarray(bonds)
         self.weights = np.asarray(weights, dtype=float)
-        self.table = (self.bonds[:, 0], self.bonds[:, 1], self.weights,
-                      np.broadcast_to(np.asarray(rest, dtype=float), self.weights.shape))
+        rest = np.broadcast_to(np.asarray(rest, dtype=float), self.weights.shape)
+        self.table = _BondTable((self.bonds[:, 0], self.bonds[:, 1], self.weights, rest))
 
     def _phi(self, L, rest):
         raise NotImplementedError
@@ -176,25 +176,42 @@ class _BondModel(EnergyModel):
         _, first, inv = np.unique(lo * (int(cell_sites.max()) + 1) + hi,
                                   return_index=True, return_inverse=True)
         n = len(cell_sites)
-        return (lo[first], hi[first], np.bincount(inv, weights=np.tile(w, n)),
-                np.tile(rest, n)[first])
+        return _BondTable((lo[first], hi[first], np.bincount(inv, weights=np.tile(w, n)),
+                           np.tile(rest, n)[first]))
 
     def _evaluate(self, F, S, grad, bonds=None):
-        i, j, w, rest = self.table if bonds is None else bonds
-        # np.take gathers several times faster than fancy indexing here
-        b = np.take(F, j, axis=2) - np.take(F, i, axis=2)
+        table = self.table if bonds is None else bonds
+        (I, J), w, rest = table.flat(F.shape), table[2], table[3]
+        flat = F.reshape(-1)                # copies only a non-contiguous F
+        b = flat.take(J)
+        b -= flat.take(I)
         L = np.sqrt(np.einsum("bde,bde->be", b, b))
-        E = self._phi(L, rest) @ w
+        # one dot per cell: a cell's energy does not depend on its batch
+        E = (self._phi(L, rest)[:, None, :] @ w[:, None])[:, 0, 0]
         if not grad:
             return E
-        safe = np.where(L > _ZERO_BOND, L, 1.0)
-        coef = np.where(L > _ZERO_BOND, w * self._dphi(L, rest) / safe, 0.0)
-        f = (coef[:, None, :] * b).ravel()     # dE/dF[:, :, j] of each bond
-        B, d, n = F.shape
-        rows = n * np.arange(B * d)[:, None]
-        gF = np.bincount((rows + j).ravel(), f, minlength=B * d * n)
-        gF -= np.bincount((rows + i).ravel(), f, minlength=B * d * n)
-        return E, (gF.reshape(B, d, n), None)
+        coef = w * self._dphi(L, rest)
+        if L.min(initial=np.inf) > _ZERO_BOND:
+            coef /= L
+        else:                               # the zero subgradient at |b| = 0
+            coef = np.where(L > _ZERO_BOND, coef / np.where(L > _ZERO_BOND, L, 1.0), 0.0)
+        b *= coef[:, None, :]               # dE/dF[:, :, j] of each bond
+        gF = np.bincount(J.ravel(), b.ravel(), minlength=F.size)
+        gF -= np.bincount(I.ravel(), b.ravel(), minlength=F.size)
+        return E, (gF.reshape(F.shape), None)
+
+
+class _BondTable(tuple):
+    """Bond table ``(i, j, w, rest)`` whose ``flat(shape)`` gives the flat
+    indices (B, d, n_bonds) of the ends i and j in a C-ordered batch of that
+    shape; it keeps the last shape's, so a sample table builds them once."""
+
+    def flat(self, shape):
+        cached = getattr(self, "_flat", (None,))
+        if cached[0] != shape:
+            rows = shape[2] * np.arange(shape[0] * shape[1]).reshape(shape[:2] + (1,))
+            cached = self._flat = (shape, (rows + self[0], rows + self[1]))
+        return cached[1]
 
 
 def _cell_edges(d: int) -> np.ndarray:

@@ -12,8 +12,10 @@ unique site pairs, so each lattice bond is evaluated once per call.  Any
 other model sees the interior cells, centred on their corner mean, and its
 cell gradients are scattered back onto the sites.
 
-The minimizer is a limited-memory quasi-Newton descent.  Its line search
-tries the unit step first.  A step whose energy rises above the rounding
+The minimizer is L-BFGS over a preallocated ring of its last pairs and
+their Gram matrix: the two-loop recursion runs on at most ``history``
+floats plus four matrix-vector products.  Its line search tries the unit
+step first.  A step whose energy rises above the rounding
 floor of the current energy, 1e-12 (1 + |E|), is halved on energies alone
 until the Armijo test (constant 1e-4) holds.  A step that fails the Armijo
 test but stays within that floor cannot be ranked by energy any more; it
@@ -293,6 +295,53 @@ def _line_search(problem: Problem, x, E, direction, slope):
     return None, E, None, evals
 
 
+class _History:
+    """The last ``size`` accepted pairs (s, y) of the quasi-Newton descent,
+    in rows S[a] and Y[a] of a ring whose slots ``order`` lists oldest first.
+    Beside them are kept rho_a = 1 / s_a . y_a, the newest pair's scale
+    gamma = s . y / y . y and the Gram entries SY[a, b] = s_a . y_b for a
+    older than b, the only ones the recursions read.  A push costs one
+    matrix-vector product over the n variables, a direction four."""
+
+    def __init__(self, size, n):
+        self.S, self.Y, self.SY = np.empty((size, n)), np.empty((size, n)), np.empty((size, size))
+        self.rho, self.order = [0.0] * size, []
+
+    def push(self, s, y):
+        sy, yy, order = float(s @ y), float(y @ y), self.order
+        if self.rho and sy > 1e-12 * (float(s @ s) * yy) ** 0.5:
+            p = order.pop(0) if len(order) == len(self.rho) else len(order)
+            order.append(p)
+            k = len(order)              # the filled slots are rows [0, k)
+            self.S[p], self.Y[p], self.rho[p], self.gamma = s, y, 1.0 / sy, sy / yy
+            self.SY[:k, p] = self.S[:k] @ y
+
+    def direction(self, g):
+        """-H g by Nocedal's two-loop recursion (Math. Comp. 35 (1980)
+        773-782) with initial scale gamma, its dot products s_a . q and
+        y_a . r taken from S g, Y q and the Gram entries of swept pairs."""
+        order, rho, k = self.order, self.rho, len(self.order)
+        if not k:
+            return -g
+        S, Y, G = self.S[:k], self.Y[:k], self.SY[:k, :k].tolist()
+        sg = (S @ g).tolist()
+        alpha = [0.0] * k
+        for t, a in reversed(list(enumerate(order))):
+            acc = sg[a]
+            for b in order[t + 1:]:
+                acc += alpha[b] * G[a][b]
+            alpha[a] = -rho[a] * acc
+        q = (-g - np.array(alpha) @ Y) * self.gamma
+        yq = (Y @ q).tolist()
+        c = [0.0] * k
+        for t, a in enumerate(order):
+            acc = yq[a]
+            for b in order[:t]:
+                acc += c[b] * G[b][a]
+            c[a] = alpha[a] - rho[a] * acc
+        return q + np.array(c) @ S
+
+
 def minimize(problem: Problem, opts: SolveOptions, start: Deformation,
              internal_start: InternalField | None = None,
              start_label: str = "custom") -> SolveResult:
@@ -310,34 +359,18 @@ def minimize(problem: Problem, opts: SolveOptions, start: Deformation,
     if g.size == 0:
         return SolveResult(E, problem.deformation(x), problem.internal_field(x),
                            0, True, 0.0, start_label, "converged", n_evals)
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
+    history = _History(opts.history, g.size)
     iterations = 0
     converged = bool(np.max(np.abs(g)) <= opts.grad_tol)
     stop = "max_iter"
 
     while not converged and iterations < opts.max_iter:
-        q = -g
-        alpha = []
-        for s_v, y_v, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-            a = rho * (s_v @ q)
-            alpha.append(a)
-            q -= a * y_v
-        if y_hist:
-            gamma = (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1])
-            q *= gamma
-        for (s_v, y_v, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alpha)):
-            b = rho * (y_v @ q)
-            q += (a - b) * s_v
-        direction = q
+        direction = history.direction(g)
         slope = direction @ g
         if not np.isfinite(slope) or slope >= 0:
             direction = -g
             slope = -(g @ g)
-            s_hist.clear()
-            y_hist.clear()
-            rho_hist.clear()
+            history.order.clear()
 
         x_new, E_new, g_new, evals = _line_search(problem, x, E, direction, slope)
         n_evals += evals
@@ -346,17 +379,7 @@ def minimize(problem: Problem, opts: SolveOptions, start: Deformation,
             break
         if not E_new <= E + _ENERGY_FLOOR * (1.0 + abs(E)):
             raise RuntimeError(f"line search raised the energy from {E!r} to {E_new!r}")
-        s_v = x_new - x
-        y_v = g_new - g
-        sy = s_v @ y_v
-        if sy > 1e-12 * np.linalg.norm(s_v) * np.linalg.norm(y_v):
-            s_hist.append(s_v)
-            y_hist.append(y_v)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > opts.history:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
+        history.push(x_new - x, g_new - g)
         x, E, g = x_new, E_new, g_new
         iterations += 1
         converged = bool(np.max(np.abs(g)) <= opts.grad_tol)

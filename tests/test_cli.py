@@ -59,6 +59,16 @@ def test_parse_s0_for_bravais_rejected(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("task", ["cb_scan", "elastic"])
+def test_parse_s0_rejected_where_unused(tmp_path, task):
+    # these tasks never read s0: the key used to be accepted and ignored
+    path = write_config(tmp_path, lattice={"d": 2, "A": [[1.0, 0.0], [0.0, 1.0]], "m": 1},
+                        model={"name": "multilattice_harmonic"}, task=task,
+                        s0=[[0.02, 0.01]])
+    with pytest.raises(ValueError, match="s0 is not used"):
+        parse_config(path)
+
+
 def test_parse_unknown_keys_rejected(tmp_path):
     path = write_config(tmp_path, extra_field=1)
     with pytest.raises(ValueError, match="unknown keys"):
@@ -181,6 +191,18 @@ def test_run_tiling(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     entry = summary["results"]["tiling"][0]
     assert entry["n"] == 4 and entry["k"] == 8
+    assert entry["dominated"]
+
+
+def test_run_tiling_uses_s0(tmp_path):
+    # without the s0 the check reports the relaxed-shift value 0.002032323186659076
+    path = write_config(tmp_path, lattice={"d": 2, "A": [[1.0, 0.0], [0.0, 1.0]], "m": 1},
+                        model={"name": "multilattice_harmonic"}, task="tiling_check",
+                        M=[[1.05, 0.02, 0.0, 0.97]], s0=[[0.02, 0.01]], schedule=[4, 8])
+    out = tmp_path / "out"
+    assert run(parse_config(path), out_dir=str(out)) == 0
+    entry = json.loads((out / "summary.json").read_text())["results"]["tiling"][0]
+    assert entry["f_k_solved"] == pytest.approx(0.0023270897470942663, rel=1e-12)
     assert entry["dominated"]
 
 

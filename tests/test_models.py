@@ -86,6 +86,26 @@ def brute_force_pair_energy(model, grid, y):
     return total
 
 
+def test_bond_kernel_batch_equals_single_cells(square_spec, harmonic, rng):
+    # the one-cell table on B = 3 cells at once and one cell at a time agrees
+    # to the bit, also with a zero-length bond in cell 1 (its LJ energy is
+    # nan, its force the zero subgradient)
+    lj = pair_potential_model(square_spec, lennard_jones(1.0, 2 ** (-1 / 6)), 2.5)
+    for model in (harmonic, lj):
+        F = model.spec.stencil + 0.1 * rng.standard_normal((3, 2, model.n_cols))
+        collapsed = F.copy()
+        collapsed[1, :, 1] = collapsed[1, :, 0]
+        for batch in (F, collapsed):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                E, (gF, gS) = model._energy_gradient(batch, None)
+                singles = [model._energy_gradient(batch[b:b + 1], None) for b in range(3)]
+                energies = [model._energy(batch[b:b + 1], None) for b in range(3)]
+            assert gS is None and np.all(np.isfinite(gF))
+            assert np.array_equal(np.concatenate([E_b for E_b, _ in singles]), E, equal_nan=True)
+            assert np.array_equal(np.concatenate(energies), E, equal_nan=True)
+            assert np.array_equal(np.concatenate([g_b for _, (g_b, _) in singles]), gF)
+
+
 def test_pair_zero_potential(square_spec):
     zero = harmonic_pair(k=0.0, r0=1.0)
     model = pair_potential_model(square_spec, zero, cutoff=1.5)

@@ -487,3 +487,61 @@ def test_options_validation():
         SolveOptions(max_iter=0)
     with pytest.raises(ValueError):
         SolveOptions(perturb_amp=-1.0)
+
+
+def textbook_direction(pairs, g):
+    """Nocedal's two-loop recursion over (s, y) pairs, oldest first."""
+    q = -g.copy()
+    alpha = []
+    for s, y in reversed(pairs):
+        alpha.append((s @ q) / (s @ y))
+        q -= alpha[-1] * y
+    if pairs:
+        s, y = pairs[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y), a in zip(pairs, reversed(alpha)):
+        q += (a - (y @ q) / (s @ y)) * s
+    return q
+
+
+def test_two_loop_matches_textbook():
+    # random pairs y = A s of a well-conditioned SPD A, fed to the solver's
+    # ring and to a plain list that keeps the last `history` accepted pairs
+    rng = np.random.default_rng(11)
+    n, size = 40, SolveOptions().history
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A = Q @ np.diag(rng.uniform(1.0, 10.0, n)) @ Q.T
+    history, pairs = solver._History(size, n), []
+
+    def push(s, y):
+        history.push(s, y)
+        if s @ y > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+            pairs.append((s, y))
+            del pairs[:-size]
+
+    def check():
+        g = rng.standard_normal(n)
+        ref = textbook_direction(pairs, g)
+        assert np.linalg.norm(history.direction(g) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def step():
+        s = rng.standard_normal(n)
+        push(s, A @ s + 0.01 * rng.standard_normal(n))
+
+    check()                                 # empty: steepest descent
+    for count in range(1, 2 * size + 8):
+        step()
+        if count in (1, 5, size, size + 1, size + 3, 2 * size + 7):
+            check()                         # filling, full, wrapped twice
+    s = rng.standard_normal(n)
+    push(s, -s)                             # fails the curvature test
+    assert len(pairs) == size and len(history.order) == size
+    check()
+    step()
+    check()
+    history.order.clear()                   # the steepest-descent reset
+    pairs.clear()
+    check()
+    for count in range(3):
+        step()
+        check()
