@@ -2,7 +2,6 @@
 
 Usage:
     cellhom run <config.json> [--out DIR]
-    cellhom validate [--quick]
 
 A config selects a lattice, a model, one task and its inputs.  Outputs are
 ``results.csv`` (one row per solved cell problem), ``summary.json``
@@ -28,9 +27,8 @@ import numpy as np
 
 from . import homogenize as hm
 from . import models as md
-from .elasticity import (cauchy_residuals, numeric_elastic_tensor,
-                         pair_elastic_tensor, voigt_matrix)
-from .lattice import build_grid, build_lattice
+from .elasticity import cauchy_residuals, numeric_elastic_tensor, voigt_matrix
+from .lattice import build_lattice
 from .solver import SolveOptions
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
@@ -359,145 +357,6 @@ def run(config: RunConfig, out_dir=".") -> int:
 
 
 # ---------------------------------------------------------------------------
-# built-in validation suite
-# ---------------------------------------------------------------------------
-
-
-def _expect(ok, what: str):
-    """A validation check that, unlike ``assert``, survives ``python -O``."""
-    if not ok:
-        raise AssertionError(what)
-
-
-def run_validation_suite(quick: bool = False) -> bool:
-    """Run the invariant checks and print one PASS/FAIL line per property."""
-    from .fields import affine_deformation, discrete_gradient, interpolate_cell
-    from .lattice import square_lattice
-    from .solver import Problem, multi_start_minimize
-
-    checks = []
-
-    def check(name, fn):
-        try:
-            fn()
-            checks.append((name, True, ""))
-        except Exception as exc:  # noqa: BLE001 - report, don't crash
-            checks.append((name, False, str(exc)))
-
-    spec = square_lattice()
-    harmonic = md.harmonic_spring_model(spec, 1.0, 1.0)
-    rng = np.random.default_rng(0)
-
-    def interior_counts():
-        for N in (3, 4, 5, 7):
-            grid = build_grid(spec, N)
-            _expect(grid.n_interior == (N - 2) ** 2, f"interior count at N = {N}")
-
-    check("grid interior-cell count (N-2r)^d", interior_counts)
-
-    def corner_order():
-        grid = build_grid(spec, 5)
-        from .lattice import cell_sites
-        cell = int(grid.interior_cells[0])
-        center = grid.cell_center(cell)
-        sites = cell_sites(grid, cell)
-        for j, s in enumerate(sites):
-            _expect(np.allclose(grid.site_coords[s], center + spec.corners[:, j]),
-                    f"corner {j} misplaced")
-
-    check("corner order matches the corner matrix", corner_order)
-
-    def v0_property():
-        grid = build_grid(spec, 5)
-        dfm = affine_deformation(grid, np.eye(2))
-        dfm.y += rng.standard_normal(dfm.y.shape)
-        for cell in grid.interior_cells[:4]:
-            F = discrete_gradient(dfm, int(cell))
-            _expect(abs(F[:, :4].sum(axis=1)).max() < 1e-12, "nonzero corner row sum")
-
-    check("discrete gradients have zero row sums", v0_property)
-
-    def gradient_fd():
-        F = spec.corners + 0.1 * rng.standard_normal((2, 4))
-        F = F - F.mean(axis=1, keepdims=True)
-        g, _ = harmonic.gradient(F)
-        h = 1e-6
-        for i in range(2):
-            for j in range(4):
-                Fp, Fm = F.copy(), F.copy()
-                Fp[i, j] += h
-                Fm[i, j] -= h
-                fd = (harmonic.energy(Fp) - harmonic.energy(Fm)) / (2 * h)
-                _expect(abs(fd - g[i, j]) < 1e-6 * (1 + abs(fd)),
-                        f"gradient entry ({i}, {j}) off")
-
-    check("harmonic gradient matches finite differences", gradient_fd)
-
-    def cb_values():
-        for stretch, w in ((1.2, 0.04), (0.5, 0.25)):
-            value = hm.cauchy_born_density(harmonic, np.diag([stretch, 1.0]))
-            _expect(abs(value - w) < 1e-12, f"W_CB(diag({stretch}, 1)) = {value!r}")
-
-    check("affine density benchmark values", cb_values)
-
-    def zero_energy_rotation():
-        theta = 0.3
-        R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        opts = SolveOptions(n_random_starts=0 if quick else 2)
-        grid = build_grid(spec, 5)
-        res = multi_start_minimize(Problem(grid, harmonic, R), opts)
-        _expect(res.energy / 25.0 <= 1e-12, f"f_N = {res.energy / 25.0!r}")
-
-    check("zero energy at rotations", zero_energy_rotation)
-
-    def affine_reproduction():
-        grid = build_grid(spec, 4)
-        M = np.array([[1.1, 0.2], [-0.1, 0.9]])
-        dfm = affine_deformation(grid, M)
-        for piece in interpolate_cell(dfm, int(grid.interior_cells[0])):
-            _expect(np.allclose(piece.gradient, M, atol=1e-12), "piece gradient is not M")
-
-    check("interpolation reproduces affine fields", affine_reproduction)
-
-    def determinism():
-        grid = build_grid(spec, 6)
-        opts = SolveOptions(n_random_starts=2)
-        p = Problem(grid, harmonic, np.diag([0.8, 1.0]))
-        r1 = multi_start_minimize(p, opts)
-        r2 = multi_start_minimize(p, opts)
-        _expect(r1.energy == r2.energy and r1.start_label == r2.start_label,
-                "two runs differ")
-
-    check("deterministic multistart", determinism)
-
-    if not quick:
-        def tiling():
-            solved, tiled = hm.tiling_upper_bound_check(
-                harmonic, np.diag([1.2, 1.0]), 4, 8, SolveOptions(n_random_starts=2))
-            _expect(solved <= tiled + 1e-9, f"solved {solved!r} > tiled {tiled!r}")
-
-        check("tiling dominance", tiling)
-
-        def cauchy():
-            v1, v2 = md.harmonic_pair(1.0, 1.0).at_rest()
-            t = pair_elastic_tensor(v1, v2, spec, 1.5)
-            rep = cauchy_residuals(t)
-            _expect(rep.max_cauchy <= 1e-10 * max(1.0, np.abs(t.c).max()),
-                    f"Cauchy residual {rep.max_cauchy!r}")
-
-        check("pair tensors satisfy the Cauchy relations", cauchy)
-
-    ok = True
-    for name, passed, msg in checks:
-        line = f"{'PASS' if passed else 'FAIL'}  {name}"
-        if msg and not passed:
-            line += f"  ({msg})"
-        print(line)
-        ok = ok and passed
-    return ok
-
-
-# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
@@ -510,16 +369,8 @@ def main(argv=None) -> int:
     p_run.add_argument("config", help="path to the JSON run config")
     p_run.add_argument("--out", default=".")
 
-    p_val = sub.add_parser("validate", help="run the invariant suite")
-    p_val.add_argument("--quick", action="store_true")
-
     args = parser.parse_args(argv)
-    if args.command == "run":
-        config = parse_config(args.config)
-        return run(config, out_dir=args.out)
-    if args.command == "validate":
-        return 0 if run_validation_suite(quick=args.quick) else 1
-    return 2
+    return run(parse_config(args.config), out_dir=args.out)
 
 
 if __name__ == "__main__":

@@ -237,10 +237,6 @@ class CellGrid:
     def pinned_sites(self) -> np.ndarray:
         return np.nonzero(~self.free_mask)[0]
 
-    def cell_center(self, cell) -> np.ndarray:
-        k = self.cell_multi[cell]
-        return self.spec.A @ (k + 0.5)
-
 
 def build_grid(spec: LatticeSpec, N: int) -> CellGrid:
     """Enumerate the cells and sites of the N^d box.

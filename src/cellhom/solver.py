@@ -113,7 +113,17 @@ class Problem:
         self.bonds = model._sample_bonds(self.cell_sites)
         # unpack copies the affine datum and writes the free block into it
         self._template = affine_deformation(grid, self.M).y
-        self._free_flat = (self.d * self.free_idx[:, None] + np.arange(self.d)).ravel()
+        axes = np.arange(self.d)
+        self._free_flat = (self.d * self.free_idx[:, None] + axes).ravel()
+        # flat indices of the free-site gradient, into the bond route's gF
+        # (1, d, n_sites) or the cell route's site gradient (n_sites, d); the
+        # cell route gathers and scatters through one flat index (C, n_cols, d),
+        # site-major, the layout the cell kernels' reductions are rounded in
+        if self.bonds is not None:
+            self._free_grad = (grid.n_sites * axes + self.free_idx[:, None]).ravel()
+        else:
+            self._gather = self.d * self.cell_sites[:, :, None] + axes
+            self._free_grad = self._free_flat
 
         self.m = model.m
         if self.m > 0:
@@ -191,7 +201,7 @@ class Problem:
             kernel = self.model._energy_gradient if grad else self.model._energy
             out = kernel(y.T[None], s, self.bonds)       # F: (1, d, n_sites)
         else:
-            F = np.swapaxes(np.take(y, self.cell_sites, axis=0), 1, 2)  # (C, d, n_cols)
+            F = np.swapaxes(y.take(self._gather), 1, 2)  # (C, d, n_cols)
             out = self.model._cells(F, s, grad)
         if not grad:
             E = float(out.sum())
@@ -201,19 +211,14 @@ class Problem:
         E_cells, (gF, gS) = out
         E = float(E_cells.sum())
         if self.bonds is not None:
-            g_sites = gF[0].T
+            g_sites = gF
         else:
-            g_sites = np.zeros((self.grid.n_sites, self.d))
-            flat = self.cell_sites.ravel()
-            contrib = np.swapaxes(gF, 1, 2).reshape(-1, self.d)
-            for axis in range(self.d):
-                g_sites[:, axis] = np.bincount(
-                    flat, weights=contrib[:, axis], minlength=self.grid.n_sites
-                )
+            g_sites = np.bincount(self._gather.ravel(), np.swapaxes(gF, 1, 2).ravel(),
+                                  minlength=y.size)
         if not (np.isfinite(E) and np.all(np.isfinite(g_sites))):
             raise DivergedEvaluation("diverged evaluation")
         g = np.empty(self.n_vars)
-        g[: self.n_free * self.d] = np.take(g_sites, self.free_idx, axis=0).ravel()
+        g[: self.n_free * self.d] = g_sites.take(self._free_grad)
         if self.m > 0:
             if self.s0 is not None:
                 g[self.n_free * self.d:] = (gS[:-1] - gS[-1][None]).ravel()
@@ -249,15 +254,16 @@ def _line_search(problem: Problem, x, E, direction, slope):
     floor = E + _ENERGY_FLOOR * (1.0 + abs(E))
 
     def trial(t):
+        x_t = x + t * direction
         try:
-            return problem.value_and_grad(x + t * direction)
+            return (x_t, *problem.value_and_grad(x_t))
         except DivergedEvaluation:
-            return np.inf, None
+            return x_t, np.inf, None
 
-    E_t, g_t = trial(1.0)
+    x_t, E_t, g_t = trial(1.0)
     evals = 1
     if E_t <= E + _ARMIJO * slope:
-        return x + direction, E_t, g_t, evals
+        return x_t, E_t, g_t, evals
 
     if E_t <= floor:
         # Below the rounding floor energies cannot rank steps: bracket and
@@ -273,11 +279,11 @@ def _line_search(problem: Problem, x, E, direction, slope):
                 elif dphi > (2.0 * _WOLFE_DELTA - 1.0) * slope:
                     hi = t
                 else:
-                    return x + t * direction, E_t, g_t, evals
+                    return x_t, E_t, g_t, evals
             if evals > _MAX_BACKTRACKS:
                 return None, E, None, evals
             t = 2.0 * t if hi == np.inf else 0.5 * (lo + hi)
-            E_t, g_t = trial(t)
+            x_t, E_t, g_t = trial(t)
             evals += 1
 
     t = 1.0

@@ -50,6 +50,16 @@ def test_lj_cubic_cauchy_relations():
     assert rep.minor_symmetry <= 1e-10 * scale
 
 
+def test_prestressed_pair_lattice_breaks_cauchy(square_spec):
+    # at cutoff 1.5 the unit harmonic pair also reaches the sqrt(2) shell,
+    # where V' = sqrt(2) - 1 != 0: the lattice is not stress-free, and
+    # c_1122 = c_1212 fails by the stress term of c_1212,
+    # sum_x V'(|x|) x_2^2 / |x| = 4 (sqrt(2) - 1) / sqrt(2)
+    v1, v2 = harmonic_pair(1.0, 1.0).at_rest()
+    rep = cauchy_residuals(pair_elastic_tensor(v1, v2, square_spec, 1.5))
+    assert rep.max_cauchy == pytest.approx(4.0 - 2.0 * np.sqrt(2.0), rel=1e-12)
+
+
 def test_pair_swap_symmetries_hold_for_any_potential():
     # without equilibration only the swap symmetries are exact
     cubic = build_lattice(3, np.eye(3))

@@ -110,13 +110,37 @@ TRIANGULAR = np.array([[1.0, 0.5], [0.0, np.sqrt(3) / 2]])
 
 def cell_sum(problem, x):
     """The per-cell reference: ``energy_many`` and ``gradient_many`` on every
-    interior cell, the cell gradients scattered onto the sites by np.add.at."""
-    y, _ = problem.unpack(x)
+    interior cell, the cell gradients scattered onto the sites by np.add.at;
+    the gradient is the free-site block only."""
+    y, s = problem.unpack(x)
     F = np.swapaxes(y[problem.cell_sites], 1, 2)
-    gF, _ = problem.model.gradient_many(F)
+    gF, _ = problem.model.gradient_many(F, s)
     g_sites = np.zeros_like(y)
     np.add.at(g_sites, problem.cell_sites, np.swapaxes(gF, 1, 2))
-    return float(problem.model.energy_many(F).sum()), g_sites[problem.free_idx].ravel()
+    return float(problem.model.energy_many(F, s).sum()), g_sites[problem.free_idx].ravel()
+
+
+def test_cell_path_matches_cell_sum(square_spec, multilattice, rng):
+    # the cell route gathers and scatters through flat indices; each site
+    # sums its cells' contributions in the reference's order, so the two
+    # agree to the bit
+    from cellhom import (QuadraticForm, frobenius_squared_density,
+                         quadratic_form_model, quasiconvex_wrapper_model)
+    M = np.array([[1.05, 0.1], [0.0, 0.95]])
+    for model, s0 in [
+        (quasiconvex_wrapper_model(square_spec, frobenius_squared_density()), None),
+        (quadratic_form_model(square_spec, QuadraticForm.from_moduli(1.0, 0.5)), None),
+        (multilattice, None),
+        (multilattice, np.array([[0.05], [-0.02]])),
+    ]:
+        problem = Problem(build_grid(model.spec, 7), model, M, s0=s0)
+        assert problem.bonds is None
+        x = problem.pack(affine_deformation(problem.grid, M))
+        x = x + 0.1 * rng.standard_normal(x.shape)
+        E_ref, g_ref = cell_sum(problem, x)
+        E, g = problem.value_and_grad(x)
+        assert E == E_ref, model.name
+        assert np.array_equal(g[: problem.n_free * problem.d], g_ref), model.name
 
 
 @pytest.mark.parametrize("lattice, potential, cutoff, N", [
