@@ -12,6 +12,12 @@ returns the energies of a batch of centred cells and, with ``grad``, also
 the gradient ``(dE/dF, dE/dS)``; an energy-only call returns before any
 gradient is assembled.  The single-cell API wraps batches of one.
 
+Kernels read a batch F (B, d, n_cols) in batch-last memory: its transpose
+(n_cols, d, B) is C-contiguous, each F[:, a, j] a contiguous row; another
+layout is copied first.  They add rows one by one in index order, as in
+``reduce(np.add, rows)``, never by numpy reductions over short axes, whose
+order follows the layout and the batch size: results depend on values alone.
+
 Pair-bond models (harmonic springs, pair potentials) evaluate any batch
 over a bond table of its columns, phi once per bond: column pairs i, j,
 weights w and rest lengths.  Their own table holds one cell's bonds;
@@ -25,6 +31,7 @@ the offending term.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,6 +58,11 @@ __all__ = [
 ]
 
 _ZERO_BOND = 1e-14
+
+
+def _rows(F):
+    """The batch-last memory (n_cols, d, B) of F (B, d, n_cols), C-contiguous."""
+    return np.ascontiguousarray(np.transpose(F, (2, 1, 0)))
 
 
 class EnergyModel:
@@ -101,11 +113,13 @@ class EnergyModel:
         """The kernel on cells F (B, d, n_cols) centred on their corner mean;
         with ``grad`` the gradient is chained back through the centring."""
         nc = self.spec.n_corners
-        F = F - F[:, :, :nc].mean(axis=2, keepdims=True)
+        T = _rows(F)
+        F = (T - reduce(np.add, T[:nc]) / nc).transpose(2, 1, 0)
         if not grad:
             return self._energy(F, S)
         E, (gF, gS) = self._energy_gradient(F, S)
-        gF[:, :, :nc] -= gF.sum(axis=2, keepdims=True) / nc
+        G = gF.transpose(2, 1, 0)
+        G[:nc] -= reduce(np.add, G) / nc
         return E, (gF, gS)
 
     # -- single-cell convenience -------------------------------------------
@@ -130,7 +144,8 @@ class EnergyModel:
     def _evaluate(self, F, S, grad, bonds=None):
         """Energies E of centred cells F (B, d, n_cols) with shifts S (B, d, m)
         or None; with ``grad``, (E, (dE/dF, dE/dS)) instead.  ``bonds``, a
-        bond table over the columns of F, is read by pair-bond models only."""
+        bond table over the columns of F, is read by pair-bond models only.
+        F is read through ``_rows(F)``; dE/dF is returned batch-last too."""
         raise NotImplementedError
 
     def _sample_bonds(self, cell_sites):
@@ -181,13 +196,13 @@ class _BondModel(EnergyModel):
 
     def _evaluate(self, F, S, grad, bonds=None):
         table = self.table if bonds is None else bonds
-        (I, J), w, rest = table.flat(F.shape), table[2], table[3]
-        flat = F.reshape(-1)                # copies only a non-contiguous F
-        b = flat.take(J)
+        (I, J), w, rest = table.flat(F.shape), table[2][:, None], table[3][:, None]
+        flat = _rows(F).reshape(-1)         # copies only a batch in another layout
+        b = flat.take(J)                    # (d, n_bonds, B) bond vectors
         b -= flat.take(I)
-        L = np.sqrt(np.einsum("bde,bde->be", b, b))
+        L = np.sqrt(np.einsum("akb,akb->kb", b, b))
         # one dot per cell: a cell's energy does not depend on its batch
-        E = (self._phi(L, rest)[:, None, :] @ w[:, None])[:, 0, 0]
+        E = (np.ascontiguousarray(self._phi(L, rest).T)[:, None, :] @ w)[:, 0, 0]
         if not grad:
             return E
         coef = w * self._dphi(L, rest)
@@ -195,22 +210,22 @@ class _BondModel(EnergyModel):
             coef /= L
         else:                               # the zero subgradient at |b| = 0
             coef = np.where(L > _ZERO_BOND, coef / np.where(L > _ZERO_BOND, L, 1.0), 0.0)
-        b *= coef[:, None, :]               # dE/dF[:, :, j] of each bond
+        b *= coef                           # dE/dF[:, :, j] of each bond
         gF = np.bincount(J.ravel(), b.ravel(), minlength=F.size)
         gF -= np.bincount(I.ravel(), b.ravel(), minlength=F.size)
-        return E, (gF.reshape(F.shape), None)
+        return E, (gF.reshape(F.shape[::-1]).transpose(2, 1, 0), None)
 
 
 class _BondTable(tuple):
     """Bond table ``(i, j, w, rest)`` whose ``flat(shape)`` gives the flat
-    indices (B, d, n_bonds) of the ends i and j in a C-ordered batch of that
-    shape; it keeps the last shape's, so a sample table builds them once."""
+    indices (d, n_bonds, B) of the ends i and j in a batch-last batch of that
+    shape, F[b, a, j] at (j d + a) B + b; a sample table builds them once."""
 
     def flat(self, shape):
         cached = getattr(self, "_flat", (None,))
         if cached[0] != shape:
-            rows = shape[2] * np.arange(shape[0] * shape[1]).reshape(shape[:2] + (1,))
-            cached = self._flat = (shape, (rows + self[0], rows + self[1]))
+            rows = np.arange(shape[0] * shape[1]).reshape(shape[1], 1, shape[0])
+            cached = self._flat = (shape, tuple(rows + rows.size * e[:, None] for e in self[:2]))
         return cached[1]
 
 
@@ -484,6 +499,8 @@ class QuasiconvexWrapperModel(EnergyModel):
         # Per simplex: G_S(F) = F @ B_S, a fixed (n_cols, d) matrix.
         self._B, _ = simplex_maps(np.eye(spec.n_cols)[decomp.corner_ids], spec.corners.T)
         self._w = decomp.volumes.copy()   # (n_simplices,)
+        # row (s, k) is column k of B_S: G_S[:, :, k] = F @ B_S[:, k]
+        self._Bt = self._B.transpose(0, 2, 1).reshape(-1, spec.n_cols)
         # Cell-level growth constants are exact for quadratic densities:
         # sum_S |S| |F B_S|^2 is a quadratic form whose extreme eigenvalues
         # on the zero-row-sum subspace bound the energy both ways.
@@ -501,14 +518,17 @@ class QuasiconvexWrapperModel(EnergyModel):
             )
 
     def _evaluate(self, F, S, grad, bonds=None):
-        G = np.einsum("bdn,snk->bsdk", F, self._B)   # per-simplex gradients
-        E = np.einsum("s,bs->b", self._w, self.density.value(G))
+        # per-simplex gradients G (B, n_simplices, d, d), memory [s, k, a, b]
+        n_s, n, d = self._B.shape
+        G = (self._Bt @ _rows(F).reshape(n, -1)).reshape(n_s, d, d, -1).transpose(3, 0, 2, 1)
+        E = reduce(np.add, self._w[:, None] * self.density.value(G).T)
         if not grad:
             return E
         if self.density.grad is None:
             raise ValueError(f"density {self.density.name} has no gradient")
-        DV = self.density.grad(G)  # (B, n_simplices, d, d)
-        return E, (np.einsum("s,bsdk,snk->bdn", self._w, DV, self._B), None)
+        DV = self.density.grad(G) * self._w[:, None, None]   # (B, n_simplices, d, d)
+        gX = self._Bt.T @ DV.transpose(1, 3, 2, 0).reshape(n_s * d, -1)
+        return E, (gX.reshape(n, d, -1).transpose(2, 1, 0), None)
 
 
 def quasiconvex_wrapper_model(spec: LatticeSpec, density: MatrixDensity,
@@ -615,7 +635,10 @@ def check_quadratic_form(Q: QuadraticForm):
 
 def _smoothstep(u):
     """C-infinity step h, 0 at u <= 0 and 1 at u >= 1, and its derivative h'."""
-    u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+    u = np.asarray(u, dtype=float)
+    if np.all(u <= 0):                  # the general path gives +0.0 here too
+        return np.zeros_like(u), np.zeros_like(u)
+    u = np.clip(u, 0.0, 1.0)
     a = np.where(u > 0, np.exp(-1.0 / np.where(u > 0, u, 1.0)), 0.0)
     b = np.where(u < 1, np.exp(-1.0 / np.where(u < 1, 1.0 - u, 1.0)), 0.0)
     inner = (u > 0) & (u < 1)
@@ -657,11 +680,12 @@ class QuadraticFormModel(EnergyModel):
         self._K = P.T @ (0.5 * (Q.H + Q.H.T)) @ P
 
     def _evaluate(self, F, S, grad, bonds=None):
-        """Fp = [[a, b], [c, d]] and the formulas of the class docstring."""
+        """Fp = [[a, b], [c, d]] and the class docstring's formulas on rows X of F."""
         B, _, n = F.shape
-        Fp = (F.reshape(2 * B, n) @ self._lift).reshape(B, 2, 2)
-        Fr = F - (Fp.reshape(2 * B, 2) @ self.spec.corners).reshape(B, 2, n)
-        a, b, c, d = Fp[:, 0, 0], Fp[:, 0, 1], Fp[:, 1, 0], Fp[:, 1, 1]
+        X = _rows(F).reshape(n, 2 * B)            # row j: F[:, 0, j], then F[:, 1, j]
+        P = self._lift.T @ X                      # row p: Fp[:, 0, p], Fp[:, 1, p]
+        Fr = X - self.spec.corners.T @ P
+        a, b, c, d = P[0, :B], P[1, :B], P[0, B:], P[1, B:]
         det = a * d - b * c
         adet = np.abs(det)
         C11 = a * a + c * c
@@ -680,8 +704,8 @@ class QuadraticFormModel(EnergyModel):
 
         u = (self.delta - det) / (0.5 * self.delta)
         h, dh = _smoothstep(u)
-        grow = 1.0 + np.sum(np.square(F), axis=(1, 2))
-        E = E1 + np.sum(np.square(Fr), axis=(1, 2)) + self.kappa * h * grow
+        grow = 1.0 + reduce(np.add, np.square(X).reshape(2 * n, B))
+        E = E1 + reduce(np.add, np.square(Fr).reshape(2 * n, B)) + self.kappa * h * grow
         if not grad:
             return E
 
@@ -693,15 +717,14 @@ class QuadraticFormModel(EnergyModel):
         M12, M21 = S12 + omega, S12 - omega
         # d chi / d Fp = kappa h'(u) (-2 / delta) grow cof Fp
         p = self.kappa * dh * (-2.0 / self.delta) * grow
-        gFp = np.stack([
-            scale * (R11 * S11 + R12 * M21) + p * d,
-            scale * (R11 * M12 + R12 * S22) - p * c,
-            scale * (R21 * S11 + R22 * M21) - p * b,
-            scale * (R21 * M12 + R22 * S22) + p * a,
-        ], axis=1)
-        gF = (gFp.reshape(2 * B, 2) @ self._lift.T).reshape(B, 2, n)
-        gF += 2.0 * Fr + (2.0 * self.kappa) * h[:, None, None] * F
-        return E, (gF, None)
+        gP = np.empty_like(P)                     # dE/dFp in the rows of P
+        gP[0, :B] = scale * (R11 * S11 + R12 * M21) + p * d
+        gP[1, :B] = scale * (R11 * M12 + R12 * S22) - p * c
+        gP[0, B:] = scale * (R21 * S11 + R22 * M21) - p * b
+        gP[1, B:] = scale * (R21 * M12 + R22 * S22) + p * a
+        gX = (self._lift @ gP).reshape(n, 2, B)
+        gX += 2.0 * Fr.reshape(n, 2, B) + ((2.0 * self.kappa) * h) * X.reshape(n, 2, B)
+        return E, (gX.transpose(2, 1, 0), None)
 
 
 def quadratic_form_model(spec: LatticeSpec, Q: QuadraticForm,
@@ -752,17 +775,17 @@ class MultilatticeHarmonicModel(_BondModel):
     def _evaluate(self, F, S, grad, bonds=None):
         if S is None:
             raise ValueError("multilattice model needs an internal shift s")
-        arm = F - S[:, :, 0][:, :, None]  # corner minus internal atom
-        La = np.sqrt(np.einsum("bde,bde->be", arm, arm))
-        e_arm = 0.5 * self.k * np.sum((La - self.r0) ** 2, axis=1)
+        arm = _rows(F) - S[:, :, 0].T     # (4, d, B): corner minus internal atom
+        La = np.sqrt(reduce(np.add, np.square(arm).transpose(1, 0, 2)))
+        e_arm = 0.5 * self.k * reduce(np.add, (La - self.r0) ** 2)
         if not grad:
             return super()._evaluate(F, S, False) + e_arm
         e, (gF, _) = super()._evaluate(F, S, True)
         safe = np.where(La > _ZERO_BOND, La, 1.0)
         coef = np.where(La > _ZERO_BOND, self.k * (La - self.r0) / safe, 0.0)
-        ga = coef[:, None, :] * arm   # (B, d, 4) w.r.t. the corner columns
-        gF += ga
-        return e + e_arm, (gF, -ga.sum(axis=2)[:, :, None])
+        ga = coef[:, None, :] * arm   # (4, d, B) w.r.t. the corner columns
+        np.add(gF, ga.transpose(2, 1, 0), out=gF)
+        return e + e_arm, (gF, -reduce(np.add, ga).T[:, :, None])
 
 
 def multilattice_harmonic_model(spec: LatticeSpec, k: float, r0: float) -> EnergyModel:

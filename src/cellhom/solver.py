@@ -93,6 +93,9 @@ class Problem:
     A start must carry the pinned values of ``affine_deformation`` bit for
     bit; all evaluations go through ``_evaluate``.  ``bonds`` is the bond
     table of the whole sample, None for models evaluated cell by cell.
+    Kernels read batch-last memory: y itself as ``y.T[None]`` (bond route),
+    or the cells gathered by one ``take`` into an (n_cols, d, C) buffer; the
+    cell gradients are scattered cell by cell, as a per-cell ``np.add.at``.
     """
 
     def __init__(self, grid: CellGrid, model: EnergyModel, M, s0=None):
@@ -115,15 +118,9 @@ class Problem:
         self._template = affine_deformation(grid, self.M).y
         axes = np.arange(self.d)
         self._free_flat = (self.d * self.free_idx[:, None] + axes).ravel()
-        # flat indices of the free-site gradient, into the bond route's gF
-        # (1, d, n_sites) or the cell route's site gradient (n_sites, d); the
-        # cell route gathers and scatters through one flat index (C, n_cols, d),
-        # site-major, the layout the cell kernels' reductions are rounded in
-        if self.bonds is not None:
-            self._free_grad = (grid.n_sites * axes + self.free_idx[:, None]).ravel()
-        else:
-            self._gather = self.d * self.cell_sites[:, :, None] + axes
-            self._free_grad = self._free_flat
+        if self.bonds is None:          # flat indices of the cells' sites in y
+            self._scatter = self.d * self.cell_sites[:, :, None] + axes
+            self._gather = np.ascontiguousarray(self._scatter.transpose(1, 2, 0))
 
         self.m = model.m
         if self.m > 0:
@@ -201,7 +198,7 @@ class Problem:
             kernel = self.model._energy_gradient if grad else self.model._energy
             out = kernel(y.T[None], s, self.bonds)       # F: (1, d, n_sites)
         else:
-            F = np.swapaxes(y.take(self._gather), 1, 2)  # (C, d, n_cols)
+            F = y.take(self._gather).transpose(2, 1, 0)  # (C, d, n_cols)
             out = self.model._cells(F, s, grad)
         if not grad:
             E = float(out.sum())
@@ -211,14 +208,14 @@ class Problem:
         E_cells, (gF, gS) = out
         E = float(E_cells.sum())
         if self.bonds is not None:
-            g_sites = gF
+            g_sites = gF[0].T                            # y's memory, (n_sites, d)
         else:
-            g_sites = np.bincount(self._gather.ravel(), np.swapaxes(gF, 1, 2).ravel(),
+            g_sites = np.bincount(self._scatter.ravel(), gF.transpose(0, 2, 1).ravel(),
                                   minlength=y.size)
         if not (np.isfinite(E) and np.all(np.isfinite(g_sites))):
             raise DivergedEvaluation("diverged evaluation")
         g = np.empty(self.n_vars)
-        g[: self.n_free * self.d] = g_sites.take(self._free_grad)
+        g[: self.n_free * self.d] = g_sites.take(self._free_flat)
         if self.m > 0:
             if self.s0 is not None:
                 g[self.n_free * self.d:] = (gS[:-1] - gS[-1][None]).ravel()

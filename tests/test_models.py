@@ -106,6 +106,54 @@ def test_bond_kernel_batch_equals_single_cells(square_spec, harmonic, rng):
             assert np.array_equal(np.concatenate([g_b for _, (g_b, _) in singles]), gF)
 
 
+def layouts(F):
+    """The same batch (B, d, n) three ways: C-contiguous, site-major (memory
+    (B, n, d), as gathered from the positions) and batch-last (memory
+    (n, d, B))."""
+    return [np.ascontiguousarray(F),
+            np.swapaxes(np.ascontiguousarray(np.swapaxes(F, 1, 2)), 1, 2),
+            np.ascontiguousarray(F.transpose(2, 1, 0)).transpose(2, 1, 0)]
+
+
+def test_bond_kernel_ignores_layout(square_spec, harmonic, rng):
+    # a cell batch on the one-cell table and a whole sample on its bond table
+    lj = pair_potential_model(square_spec, lennard_jones(1.0, 2 ** (-1 / 6)), 2.5)
+    for model in (harmonic, lj):
+        F = model.spec.stencil + 0.1 * rng.standard_normal((5, 2, model.n_cols))
+        grid = build_grid(model.spec, 9)
+        y = grid.site_coords + 0.1 * rng.standard_normal(grid.site_coords.shape)
+        bonds = model._sample_bonds(grid.interior_cell_sites)
+        for batch, table in ((F, None), (y.T[None], bonds)):
+            outs = [model._energy_gradient(G, None, table) for G in layouts(batch)]
+            energies = [model._energy(G, None, table) for G in layouts(batch)]
+            for E, (gF, _) in outs[1:]:
+                assert np.array_equal(E, outs[0][0]) and np.array_equal(gF, outs[0][1][0])
+            for E in energies:
+                assert np.array_equal(E, outs[0][0])
+
+
+def test_cell_kernels_round_per_value_not_layout(square_spec, multilattice, rng):
+    # the interior cells of one N = 32 state, as a C-contiguous batch, as
+    # the site-major view of the gathered positions and as a batch-last
+    # view: energies and gradients agree to the bit
+    models = [quadratic_form_model(square_spec, QuadraticForm.from_moduli(1.0, 0.5)),
+              quasiconvex_wrapper_model(square_spec, frobenius_squared_density()),
+              multilattice]
+    M = np.array([[0.8, 0.1], [0.0, 1.0]])
+    for model in models:
+        grid = build_grid(model.spec, 32)
+        y = grid.site_coords @ M.T + 0.3 * rng.standard_normal(grid.site_coords.shape)
+        F = np.swapaxes(y[grid.interior_cell_sites], 1, 2)
+        S = None if model.m == 0 else 0.1 * rng.standard_normal((len(F), 2, model.m))
+        E_ref = model.energy_many(F, S)
+        gF_ref, gS_ref = model.gradient_many(F, S)
+        for batch in layouts(F):
+            assert np.array_equal(model.energy_many(batch, S), E_ref), model.name
+            gF, gS = model.gradient_many(batch, S)
+            assert np.array_equal(gF, gF_ref), model.name
+            assert (gS is None and gS_ref is None) or np.array_equal(gS, gS_ref)
+
+
 def test_pair_zero_potential(square_spec):
     zero = harmonic_pair(k=0.0, r0=1.0)
     model = pair_potential_model(square_spec, zero, cutoff=1.5)
@@ -381,6 +429,17 @@ def test_smoothstep_values_and_derivative():
     fd = (_smoothstep(v + du)[0] - _smoothstep(v - du)[0]) / (2.0 * du)
     assert np.all(np.abs(fd - dh) <= 1e-7 * np.abs(dh))
     assert np.all(dh[1:-1] > 0.0)
+
+
+def test_smoothstep_early_exit_is_general_path():
+    # with no positive u the step returns zeros at once; the general path
+    # gives the same bits on those entries of a mixed input
+    u = np.array([-2.0, -1e-300, -0.0, 0.0, 0.1, 0.5, 1.0, 2.0])
+    off = u <= 0
+    h, dh = _smoothstep(u)
+    h0, dh0 = _smoothstep(u[off])
+    assert h[off].tobytes() == h0.tobytes() and dh[off].tobytes() == dh0.tobytes()
+    assert np.all(h[~off] > 0.0)
 
 
 # ---------------------------------------------------------------------------

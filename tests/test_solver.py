@@ -143,6 +143,38 @@ def test_cell_path_matches_cell_sum(square_spec, multilattice, rng):
         assert np.array_equal(g[: problem.n_free * problem.d], g_ref), model.name
 
 
+def test_kernels_get_batch_last_memory(square_spec, harmonic, multilattice, rng):
+    # a spy on the kernel entry points records what Problem hands over: the
+    # logical shape (C, d, n_cols) on the cell route and (1, d, n_sites) on
+    # the bond route, over memory whose (n, d, B) transpose is C-contiguous
+    from cellhom import QuadraticForm, quadratic_form_model
+    M = np.array([[1.05, 0.1], [0.0, 0.95]])
+    quadform = quadratic_form_model(square_spec, QuadraticForm.from_moduli(1.0, 0.5))
+    for model in (harmonic, quadform, multilattice):
+        problem = Problem(build_grid(model.spec, 7), model, M)
+        seen = []
+        for name in ("_energy", "_energy_gradient"):
+            def spy(F, S, bonds=None, kernel=getattr(model, name)):
+                seen.append(F)
+                return kernel(F, S, bonds)
+            setattr(model, name, spy)
+        try:
+            x = problem.pack(affine_deformation(problem.grid, M))
+            x = x + 0.05 * rng.standard_normal(x.shape)
+            problem.value_and_grad(x)
+            problem.energy_only(x)
+        finally:
+            del model._energy, model._energy_gradient
+        if problem.bonds is None:
+            shape = (problem.n_cells, 2, model.n_cols)
+        else:
+            shape = (1, 2, problem.grid.n_sites)
+        assert len(seen) == 2
+        for F in seen:
+            assert F.shape == shape, model.name
+            assert F.transpose(2, 1, 0).flags.c_contiguous, model.name
+
+
 @pytest.mark.parametrize("lattice, potential, cutoff, N", [
     ("square", None, None, 9),                                   # harmonic springs
     ("square", LJ, 2.5, 8),
