@@ -704,8 +704,11 @@ class QuadraticFormModel(EnergyModel):
 
         u = (self.delta - det) / (0.5 * self.delta)
         h, dh = _smoothstep(u)
-        grow = 1.0 + reduce(np.add, np.square(X).reshape(2 * n, B))
-        E = E1 + reduce(np.add, np.square(Fr).reshape(2 * n, B)) + self.kappa * h * grow
+        E = E1 + reduce(np.add, np.square(Fr).reshape(2 * n, B))
+        penalized = h.any()         # else det Fp >= delta in every cell, and chi = 0
+        if penalized:
+            grow = 1.0 + reduce(np.add, np.square(X).reshape(2 * n, B))
+            E += self.kappa * h * grow
         if not grad:
             return E
 
@@ -715,15 +718,22 @@ class QuadraticFormModel(EnergyModel):
         # U - Id and U differ by Id, which commutes with S
         omega = (S12 * (x - z) + y * (S22 - S11)) * inv_tau
         M12, M21 = S12 + omega, S12 - omega
-        # d chi / d Fp = kappa h'(u) (-2 / delta) grow cof Fp
-        p = self.kappa * dh * (-2.0 / self.delta) * grow
         gP = np.empty_like(P)                     # dE/dFp in the rows of P
-        gP[0, :B] = scale * (R11 * S11 + R12 * M21) + p * d
-        gP[1, :B] = scale * (R11 * M12 + R12 * S22) - p * c
-        gP[0, B:] = scale * (R21 * S11 + R22 * M21) - p * b
-        gP[1, B:] = scale * (R21 * M12 + R22 * S22) + p * a
+        gP[0, :B] = scale * (R11 * S11 + R12 * M21)
+        gP[1, :B] = scale * (R11 * M12 + R12 * S22)
+        gP[0, B:] = scale * (R21 * S11 + R22 * M21)
+        gP[1, B:] = scale * (R21 * M12 + R22 * S22)
+        gR = 2.0 * Fr.reshape(n, 2, B)
+        if penalized:
+            # d chi / d Fp = kappa h'(u) (-2 / delta) grow cof Fp
+            p = self.kappa * dh * (-2.0 / self.delta) * grow
+            gP[0, :B] += p * d
+            gP[1, :B] -= p * c
+            gP[0, B:] -= p * b
+            gP[1, B:] += p * a
+            gR += ((2.0 * self.kappa) * h) * X.reshape(n, 2, B)
         gX = (self._lift @ gP).reshape(n, 2, B)
-        gX += 2.0 * Fr.reshape(n, 2, B) + ((2.0 * self.kappa) * h) * X.reshape(n, 2, B)
+        gX += gR
         return E, (gX.transpose(2, 1, 0), None)
 
 

@@ -14,16 +14,23 @@ cell gradients are scattered back onto the sites.
 
 The minimizer is L-BFGS over a preallocated ring of its last pairs and
 their Gram matrix: the two-loop recursion runs on at most ``history``
-floats plus four matrix-vector products.  Its line search tries the unit
-step first.  A step whose energy rises above the rounding
-floor of the current energy, 1e-12 (1 + |E|), is halved on energies alone
-until the Armijo test (constant 1e-4) holds.  A step that fails the Armijo
-test but stays within that floor cannot be ranked by energy any more; it
-is bracketed and bisected on the directional derivative instead, until the
-approximate Wolfe conditions of Hager & Zhang (SIAM J. Optim. 16 (2005)
-170-192) hold.  Accepted energies never rise above that floor, and pinned
-coordinates never change.  Everything is deterministic given the options,
-including the random warm starts, which draw from per-start counter-based
+floats plus four matrix-vector products.  Its initial inverse Hessian is
+H0 = gamma P^-1, with P^-1 from ``Problem.precondition``.  On the cell route
+P is the Dirichlet graph Laplacian of the free sites, per coordinate, which
+makes the iteration count independent of N (Packwood et al., J. Chem.
+Phys. 144 (2016) 164109).  On the bond route P is the identity: springs
+without transverse stiffness at rest length, or indefinite under
+compression, have Hessians that the Laplacian does not bound.  The first
+step is steepest descent.  The line search tries the unit step first.  A
+step whose energy rises above the rounding floor of the current energy,
+1e-12 (1 + |E|), is halved on energies alone until the Armijo test
+(constant 1e-4) holds.  A step that fails the Armijo test but stays within
+that floor cannot be ranked by energy any more; it is bracketed and
+bisected on the directional derivative instead, until the approximate
+Wolfe conditions of Hager & Zhang (SIAM J. Optim. 16 (2005) 170-192) hold.
+Accepted energies never rise above that floor, and pinned coordinates
+never change.  Everything is deterministic given the options, including
+the random warm starts, which draw from per-start counter-based
 generators.  Each result records why its search stopped.
 """
 
@@ -121,6 +128,15 @@ class Problem:
         if self.bonds is None:          # flat indices of the cells' sites in y
             self._scatter = self.d * self.cell_sites[:, :, None] + axes
             self._gather = np.ascontiguousarray(self._scatter.transpose(1, 2, 0))
+            # The free sites fill the cube [r + 1, N - 1 - r]^d, first axis
+            # slowest, on which the Dirichlet graph Laplacian is diagonal in
+            # the orthonormal DST-I basis, a symmetric involution.
+            side = grid.N - 1 - 2 * grid.spec.radius
+            k = np.arange(1, side + 1)
+            self._sine = np.sqrt(2.0 / (side + 1)) * np.sin(np.outer(k, k) * (np.pi / (side + 1)))
+            lam = 2.0 - 2.0 * np.cos(k * (np.pi / (side + 1)))
+            eig = sum(np.ix_(*[lam] * self.d))   # lam_i + lam_j + ..., shape (side,)*d
+            self._inv_eig = (1.0 / eig).reshape(side ** (self.d - 1), side, 1)
 
         self.m = model.m
         if self.m > 0:
@@ -223,6 +239,22 @@ class Problem:
                 g[self.n_free * self.d:] = gS.ravel()
         return E, g
 
+    def precondition(self, v):
+        """P^-1 v for the quasi-Newton initial Hessian: on the cell route P
+        is the Dirichlet graph Laplacian of the free sites, per coordinate,
+        and the identity on the internal shifts; on the bond route, or with
+        no free site, it is the identity, and ``v`` itself is returned."""
+        if self.bonds is not None or self.n_free == 0:
+            return v
+        n, side, S = self.n_free * self.d, self._sine.shape[0], self._sine
+        w = v[:n]
+        for a in range(self.d):                 # to the sine basis, one site axis at a time
+            w = S @ w.reshape(side ** a, side, -1)
+        w = w * self._inv_eig
+        for a in range(self.d):                 # and back: S is its own inverse
+            w = S @ w.reshape(side ** a, side, -1)
+        return np.concatenate((w.ravel(), v[n:]))
+
     def energy_only(self, x) -> float:
         return self._evaluate(x, False)
 
@@ -302,13 +334,16 @@ class _History:
     """The last ``size`` accepted pairs (s, y) of the quasi-Newton descent,
     in rows S[a] and Y[a] of a ring whose slots ``order`` lists oldest first.
     Beside them are kept rho_a = 1 / s_a . y_a, the newest pair's scale
-    gamma = s . y / y . y and the Gram entries SY[a, b] = s_a . y_b for a
-    older than b, the only ones the recursions read.  A push costs one
-    matrix-vector product over the n variables, a direction four."""
+    gamma = s . y / y . P^-1 y and the Gram entries SY[a, b] = s_a . y_b for
+    a older than b, the only ones the recursions read.  The initial inverse
+    Hessian is H0 = gamma P^-1, with ``precondition`` applying P^-1.  A push
+    costs one matrix-vector product over the n variables and one P^-1, a
+    direction four and one P^-1."""
 
-    def __init__(self, size, n):
+    def __init__(self, size, n, precondition=lambda v: v):
         self.S, self.Y, self.SY = np.empty((size, n)), np.empty((size, n)), np.empty((size, size))
         self.rho, self.order = [0.0] * size, []
+        self.precondition = precondition
 
     def push(self, s, y):
         sy, yy, order = float(s @ y), float(y @ y), self.order
@@ -316,13 +351,14 @@ class _History:
             p = order.pop(0) if len(order) == len(self.rho) else len(order)
             order.append(p)
             k = len(order)              # the filled slots are rows [0, k)
-            self.S[p], self.Y[p], self.rho[p], self.gamma = s, y, 1.0 / sy, sy / yy
+            self.S[p], self.Y[p], self.rho[p] = s, y, 1.0 / sy
+            self.gamma = sy / float(y @ self.precondition(y))
             self.SY[:k, p] = self.S[:k] @ y
 
     def direction(self, g):
         """-H g by Nocedal's two-loop recursion (Math. Comp. 35 (1980)
-        773-782) with initial scale gamma, its dot products s_a . q and
-        y_a . r taken from S g, Y q and the Gram entries of swept pairs."""
+        773-782) from H0 = gamma P^-1, its dot products s_a . q and y_a . r
+        taken from S g, Y q and the Gram entries of swept pairs."""
         order, rho, k = self.order, self.rho, len(self.order)
         if not k:
             return -g
@@ -334,7 +370,7 @@ class _History:
             for b in order[t + 1:]:
                 acc += alpha[b] * G[a][b]
             alpha[a] = -rho[a] * acc
-        q = (-g - np.array(alpha) @ Y) * self.gamma
+        q = self.precondition(-g - np.array(alpha) @ Y) * self.gamma
         yq = (Y @ q).tolist()
         c = [0.0] * k
         for t, a in enumerate(order):
@@ -362,7 +398,7 @@ def minimize(problem: Problem, opts: SolveOptions, start: Deformation,
     if g.size == 0:
         return SolveResult(E, problem.deformation(x), problem.internal_field(x),
                            0, True, 0.0, start_label, "converged", n_evals)
-    history = _History(opts.history, g.size)
+    history = _History(opts.history, g.size, problem.precondition)
     iterations = 0
     converged = bool(np.max(np.abs(g)) <= opts.grad_tol)
     stop = "max_iter"

@@ -1,6 +1,9 @@
 import ast
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -170,6 +173,35 @@ def test_run_cb_scan(tmp_path):
     row = summary["results"]["cb_table"][0]
     assert row["w_cb"] == pytest.approx(0.25, abs=1e-12)
     assert row["flagged"]
+
+
+def test_solve_path_imports_no_scipy_or_fft(tmp_path):
+    # importing scipy.sparse or scipy.optimize costs more than a small run;
+    # the solve path stays numpy-only, the preconditioner included
+    cell = write_config(tmp_path, "cell.json", task="cb_scan",
+                        model={"name": "quadratic_form", "params": {"mu": 1.0, "lam": 0.5}},
+                        M=[[1.1, 0.0, 0.0, 0.95]], schedule=[4, 6, 8],
+                        solver={"n_random_starts": 1})
+    bond = write_config(tmp_path, "bond.json")
+    script = (
+        "import json, sys\n"
+        "from cellhom.cli import parse_config, run\n"
+        "for path, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+        "    if run(parse_config(path), out_dir=out) != 0:\n"
+        "        sys.exit(1)\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] == 'scipy' or m.startswith('numpy.fft'))))\n"
+    )
+    src = str(pathlib.Path(cellhom.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(cell), str(tmp_path / "cell"),
+         str(bond), str(tmp_path / "bond")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+    assert (tmp_path / "cell" / "results.csv").exists()
+    assert (tmp_path / "bond" / "results.csv").exists()
 
 
 def test_run_elastic(tmp_path):

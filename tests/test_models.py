@@ -319,6 +319,25 @@ def test_inadmissible_q_rejected(square_spec):
         quadratic_form_model(square_spec, QuadraticForm(d=2, H=np.zeros((4, 4))))
 
 
+def test_quadratic_unpenalized_batch_matches_general_path(square_spec, rng):
+    # a batch with det Fp >= delta in every cell skips the orientation
+    # penalty; a batch that also holds penalized cells takes the general
+    # path, and both give the same numbers on the unpenalized cells
+    model = quadratic_form_model(square_spec, QuadraticForm.from_moduli(1.0, 0.5))
+    Ms = [np.diag([1.1, 0.95]), np.array([[0.8, 0.1], [0.0, 1.0]]), np.diag([0.3, 0.4]),
+          np.diag([1.0, -0.2]), rotation(0.7) @ np.diag([1.2, 0.9]), np.diag([0.6, 0.7])]
+    F = np.stack([Ms[i % len(Ms)] @ square_spec.corners + 0.05 * rng.standard_normal((2, 4))
+                  for i in range(60)])
+    det = np.linalg.det(F @ model._lift)
+    off = det >= model.delta                     # h = 0 exactly there
+    assert off.any() and not off.all()
+    E, (gF, _) = model._evaluate(F, None, True)
+    E_off, (gF_off, _) = model._evaluate(F[off], None, True)
+    assert np.array_equal(E_off, E[off])
+    assert np.array_equal(gF_off, gF[off])
+    assert np.array_equal(model._evaluate(F[off], None, False), E_off)
+
+
 def test_check_quadratic_form_accepts_moduli():
     check_quadratic_form(QuadraticForm.from_moduli(2.0, 1.0))
 
