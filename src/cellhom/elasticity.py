@@ -60,24 +60,25 @@ class CauchyReport:
     major_symmetry: float
 
 
-def pair_elastic_tensor(V1, V2, lattice: LatticeSpec, cutoff: float) -> ElasticTensor:
+def pair_elastic_tensor(potential, lattice: LatticeSpec, cutoff: float) -> ElasticTensor:
     """Direct lattice sum of the pair-potential elastic constants.
 
     c_ijkl = (1/|det A|) * sum over lattice vectors x with 0 < |x| <= cutoff
     of V''(|x|) x_i x_j x_k x_l / |x|^2
     + V'(|x|) (x_j x_l delta_ik / |x| - x_i x_j x_k x_l / |x|^3).
 
-    V1, V2 are the first and second derivative of the shell potential as
-    callables of the radius.  The convention matches the ordered-pair
-    lattice sum W(M) = sum_{x != 0} V(|Mx|) / |det A|.
+    V' and V'' are the radial derivatives of the ``PairPotential`` at rest,
+    ``potential.deriv(r, r)`` and ``potential.deriv2(r, r)``: the bond
+    models read phi' from the same object.  The convention matches the
+    ordered-pair lattice sum W(M) = sum_{x != 0} V(|Mx|) / |det A|.
     """
     _, pts = lattice_vectors_within(lattice, cutoff)
     if len(pts) == 0:
         raise ValueError("empty shell set within the cutoff")
     d = lattice.d
     r = np.linalg.norm(pts, axis=1)
-    v1 = np.asarray(V1(r), dtype=float)
-    v2 = np.asarray(V2(r), dtype=float)
+    v1 = np.asarray(potential.deriv(r, r), dtype=float)
+    v2 = np.asarray(potential.deriv2(r, r), dtype=float)
     xxxx = np.einsum("ni,nj,nk,nl->nijkl", pts, pts, pts, pts)
     term = v2[:, None, None, None, None] * xxxx / (r**2)[:, None, None, None, None]
     jl = np.einsum("nj,nl->njl", pts, pts)

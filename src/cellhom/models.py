@@ -18,14 +18,16 @@ layout is copied first.  They add rows one by one in index order, as in
 ``reduce(np.add, rows)``, never by numpy reductions over short axes, whose
 order follows the layout and the batch size: results depend on values alone.
 
-Pair-bond models (harmonic springs, pair potentials) evaluate any batch
-over a bond table of its columns, phi once per bond: column pairs i, j,
-weights w and rest lengths.  Their own table holds one cell's bonds;
-``_sample_bonds`` compiles a sample's interior cells into unique site
-pairs, so that the whole sample is one batch entry whose columns are its
-sites.  Gradients are exact except at the non-smooth points of bond lengths
-|b| = 0, where the zero element of the subdifferential is returned for
-the offending term.
+Bond models are one family: each holds a ``PairPotential`` and evaluates
+any batch over a bond table of its columns, phi = V_r(|b|) and phi' once
+per bond: column pairs i, j, weights w and reference lengths r.  Harmonic
+springs are the pair model of ``harmonic_pair(2k, r0)`` at cutoff 1, and
+the multilattice model's edges and arms are harmonic pairs too.  A model's
+own table holds one cell's bonds; ``_sample_bonds`` compiles a sample's
+interior cells into unique site pairs, so that the whole sample is one
+batch entry whose columns are its sites.  Gradients are exact except at
+the non-smooth points of bond lengths |b| = 0, where the zero element of
+the subdifferential is returned for the offending term.
 """
 
 from __future__ import annotations
@@ -80,12 +82,10 @@ class EnergyModel:
             potentials, which are not coercive).
         nonnegative: True when W >= 0 everywhere.
         frame_indifferent: True when W(RF, Rs) = W(F, s) for rotations R.
-        zero_at_rotations: True when W(RZ + const, R*s_rest) = 0 (so the
-            cell problem vanishes on rotations of the reference cell).
     """
 
     def __init__(self, name, spec, m=0, p=2, growth=None,
-                 nonnegative=False, frame_indifferent=False, zero_at_rotations=False):
+                 nonnegative=False, frame_indifferent=False):
         self.name = name
         self.spec = spec
         self.m = m
@@ -93,7 +93,6 @@ class EnergyModel:
         self.growth = growth
         self.nonnegative = nonnegative
         self.frame_indifferent = frame_indifferent
-        self.zero_at_rotations = zero_at_rotations
 
     @property
     def n_cols(self) -> int:
@@ -155,30 +154,24 @@ class EnergyModel:
 
 
 # ---------------------------------------------------------------------------
-# bond-based models (harmonic springs, pair potentials)
+# bond models: one pair-potential family (harmonic springs are one member)
 # ---------------------------------------------------------------------------
 
 
 class _BondModel(EnergyModel):
-    """Energy as a weighted sum of phi(|b|, rest) over the bond vectors
-    b = F[:, :, j] - F[:, :, i] of a bond table; ``table`` holds one cell's.
-    Subclasses fix the bonds, weights, rest lengths and phi with phi'.
+    """Energy as a weighted sum of V_r(|b|) = ``potential.value(r, |b|)``
+    over the bond vectors b = F[:, :, j] - F[:, :, i] of a bond table, r the
+    bond's reference length; ``table`` holds one cell's bonds.  Pair models
+    also carry their ``cutoff``.
     """
 
-    bonds: np.ndarray      # (n_bonds, 2) column indices
-    weights: np.ndarray    # (n_bonds,)
-
-    def _set_bonds(self, bonds, weights, rest):
-        self.bonds = np.asarray(bonds)
+    def __init__(self, name, spec, potential, bonds, weights, rest, **meta):
+        super().__init__(name, spec, **meta)
+        self.potential = potential
+        self.bonds = np.asarray(bonds)                 # (n_bonds, 2) column indices
         self.weights = np.asarray(weights, dtype=float)
         rest = np.broadcast_to(np.asarray(rest, dtype=float), self.weights.shape)
         self.table = _BondTable((self.bonds[:, 0], self.bonds[:, 1], self.weights, rest))
-
-    def _phi(self, L, rest):
-        raise NotImplementedError
-
-    def _dphi(self, L, rest):
-        raise NotImplementedError
 
     def _sample_bonds(self, cell_sites):
         """The cells' bonds as unique site pairs, each weighted by the sum of
@@ -202,10 +195,10 @@ class _BondModel(EnergyModel):
         b -= flat.take(I)
         L = np.sqrt(np.einsum("akb,akb->kb", b, b))
         # one dot per cell: a cell's energy does not depend on its batch
-        E = (np.ascontiguousarray(self._phi(L, rest).T)[:, None, :] @ w)[:, 0, 0]
+        E = (np.ascontiguousarray(self.potential.value(rest, L).T)[:, None, :] @ w)[:, 0, 0]
         if not grad:
             return E
-        coef = w * self._dphi(L, rest)
+        coef = w * self.potential.deriv(rest, L)
         if L.min(initial=np.inf) > _ZERO_BOND:
             coef /= L
         else:                               # the zero subgradient at |b| = 0
@@ -235,42 +228,6 @@ def _cell_edges(d: int) -> np.ndarray:
     return np.array([(i, i | 1 << a) for i in range(2**d) for a in range(d) if not i >> a & 1])
 
 
-class HarmonicSpringModel(_BondModel):
-    def __init__(self, spec, k, r0):
-        super().__init__(
-            "harmonic", spec, p=2,
-            growth=(0.5 * k, 2.0 * k * r0**2, 4.0 * k * max(1.0, r0**2)),
-            nonnegative=True, frame_indifferent=True, zero_at_rotations=True,
-        )
-        self.k = k
-        self.r0 = r0
-        # Each edge counts once per cell; together with the factor k/2 the
-        # bulk sum over cells reproduces one (|b|-r0)^2 per unordered bond
-        # in 2D, where every edge is shared by two cells.
-        edges = _cell_edges(spec.d)
-        self._set_bonds(edges, np.full(len(edges), 2.0 ** (2 - spec.d)), r0)
-
-    def _phi(self, L, rest):
-        return 0.5 * self.k * (L - rest) ** 2
-
-    def _dphi(self, L, rest):
-        return self.k * (L - rest)
-
-
-def harmonic_spring_model(spec: LatticeSpec, k: float, r0: float) -> EnergyModel:
-    """Nearest-neighbour harmonic springs on the 2D unit square lattice.
-
-    The cell energy is (k/2) * sum over the four cell edges of
-    (|deformed edge| - r0)^2, which over interior cells reproduces the
-    bulk bond sum with one term per unordered nearest-neighbour pair.
-    """
-    if k <= 0 or r0 <= 0:
-        raise ValueError("spring stiffness and rest length must be positive")
-    if spec.d != 2 or not np.allclose(spec.A, np.eye(2)) or spec.n_cols != 4:
-        raise ValueError("harmonic spring model requires the 2D unit square lattice")
-    return HarmonicSpringModel(spec, float(k), float(r0))
-
-
 @dataclass(frozen=True)
 class PairPotential:
     """A family of radial potentials V_r(rho) indexed by the shell radius.
@@ -287,10 +244,6 @@ class PairPotential:
     deriv2: Callable
     name: str = "pair"
     nonnegative: bool = False
-
-    def at_rest(self):
-        """(V'_r(r), V''_r(r)) as callables of the radius alone."""
-        return (lambda r: self.deriv(r, r)), (lambda r: self.deriv2(r, r))
 
 
 def lennard_jones(epsilon=1.0, sigma=1.0) -> PairPotential:
@@ -314,36 +267,18 @@ def lennard_jones(epsilon=1.0, sigma=1.0) -> PairPotential:
 def harmonic_pair(k=1.0, r0=1.0, shell=None) -> PairPotential:
     """(k/2)(rho - r0)^2, optionally restricted to one shell radius."""
 
-    def sel(r):
+    def sel(r):     # the shell's indicator; without a shell the plain factor 1.0
         if shell is None:
-            return np.ones_like(np.asarray(r, dtype=float))
+            return 1.0
         return (np.abs(np.asarray(r, dtype=float) - shell) < 1e-9).astype(float)
 
     return PairPotential(
         value=lambda r, rho: sel(r) * 0.5 * k * (np.asarray(rho, dtype=float) - r0) ** 2,
         deriv=lambda r, rho: sel(r) * k * (np.asarray(rho, dtype=float) - r0),
-        deriv2=lambda r, rho: sel(r) * k,
+        deriv2=lambda r, rho: sel(r) * k * np.ones_like(np.asarray(rho, dtype=float)),
         name="harmonic-pair",
         nonnegative=True,
     )
-
-
-class PairPotentialModel(_BondModel):
-    def __init__(self, spec, potential, cutoff, bonds, weights, rest_lengths):
-        super().__init__(
-            "pair", spec, p=2,
-            nonnegative=potential.nonnegative,
-            frame_indifferent=True,
-        )
-        self.potential = potential
-        self.cutoff = cutoff
-        self._set_bonds(bonds, weights, rest_lengths)
-
-    def _phi(self, L, rest):
-        return self.potential.value(rest, L)
-
-    def _dphi(self, L, rest):
-        return self.potential.deriv(rest, L)
 
 
 def pair_potential_model(spec: LatticeSpec, potential: PairPotential,
@@ -380,8 +315,30 @@ def pair_potential_model(spec: LatticeSpec, potential: PairPotential,
     # The cells c whose stencil holds both sites number, per axis,
     # 2 * radius - |off_i - off_j| (both off - c must lie in {-R..R+1}).
     count = np.prod(2 * model_spec.radius - np.abs(off[i] - off[j]), axis=1)
-    return PairPotentialModel(model_spec, potential, float(cutoff),
-                              np.stack([i, j], axis=1), 1.0 / count, r)
+    model = _BondModel("pair", model_spec, potential, np.stack([i, j], axis=1), 1.0 / count, r,
+                       p=2, nonnegative=potential.nonnegative, frame_indifferent=True)
+    model.cutoff = float(cutoff)
+    return model
+
+
+def harmonic_spring_model(spec: LatticeSpec, k: float, r0: float) -> EnergyModel:
+    """Nearest-neighbour harmonic springs on the 2D unit square lattice.
+
+    The cell energy is (k/2) * sum over the four cell edges of
+    (|deformed edge| - r0)^2, which over interior cells reproduces the
+    bulk bond sum with one term per unordered nearest-neighbour pair: the
+    pair model of ``harmonic_pair(2k, r0)`` at cutoff 1, whose edges each
+    weigh 1/2 per cell.
+    """
+    if k <= 0 or r0 <= 0:
+        raise ValueError("spring stiffness and rest length must be positive")
+    if spec.d != 2 or not np.allclose(spec.A, np.eye(2)) or spec.n_cols != 4:
+        raise ValueError("harmonic spring model requires the 2D unit square lattice")
+    k, r0 = float(k), float(r0)
+    model = pair_potential_model(spec, harmonic_pair(2.0 * k, r0), 1.0)
+    model.name = "harmonic"
+    model.growth = (0.5 * k, 2.0 * k * r0**2, 4.0 * k * max(1.0, r0**2))
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +625,7 @@ class QuadraticFormModel(EnergyModel):
             growth=(min(0.5, 0.05 * kappa),
                     4.0 * (spec.det_abs * qmax * spec.d + kappa + 1.0),
                     8.0 * (spec.det_abs * qmax + kappa + 1.0)),
-            nonnegative=True, frame_indifferent=True, zero_at_rotations=True,
+            nonnegative=True, frame_indifferent=True,
         )
         self.Q = Q
         self.kappa = kappa
@@ -763,36 +720,29 @@ def quadratic_form_model(spec: LatticeSpec, Q: QuadraticForm,
 
 
 class MultilatticeHarmonicModel(_BondModel):
-    """Square cell with one internal atom tethered to the four corners."""
+    """Square cell with one internal atom tethered to the four corners: the
+    unit edges are ``harmonic_pair(k, 1)`` bonds, the arms ``harmonic_pair(k, r0)``."""
 
     def __init__(self, spec, k, r0):
-        super().__init__(
-            "multilattice-harmonic", spec, m=1, p=2,
-            growth=(0.25 * k, 4.0 * k * (1.0 + r0**2), 8.0 * k * (1.0 + r0**2)),
-            nonnegative=True, frame_indifferent=True, zero_at_rotations=True,
-        )
-        self.k = k
-        self.r0 = r0
         edges = _cell_edges(spec.d)
-        self._set_bonds(edges, np.ones(len(edges)), 1.0)
-
-    def _phi(self, L, rest):
-        return 0.5 * self.k * (L - rest) ** 2
-
-    def _dphi(self, L, rest):
-        return self.k * (L - rest)
+        super().__init__(
+            "multilattice-harmonic", spec, harmonic_pair(k, 1.0), edges, np.ones(len(edges)), 1.0,
+            m=1, p=2, growth=(0.25 * k, 4.0 * k * (1.0 + r0**2), 8.0 * k * (1.0 + r0**2)),
+            nonnegative=True, frame_indifferent=True,
+        )
+        self.arms = harmonic_pair(k, r0)
 
     def _evaluate(self, F, S, grad, bonds=None):
         if S is None:
             raise ValueError("multilattice model needs an internal shift s")
         arm = _rows(F) - S[:, :, 0].T     # (4, d, B): corner minus internal atom
         La = np.sqrt(reduce(np.add, np.square(arm).transpose(1, 0, 2)))
-        e_arm = 0.5 * self.k * reduce(np.add, (La - self.r0) ** 2)
+        e_arm = reduce(np.add, self.arms.value(None, La))
         if not grad:
             return super()._evaluate(F, S, False) + e_arm
         e, (gF, _) = super()._evaluate(F, S, True)
         safe = np.where(La > _ZERO_BOND, La, 1.0)
-        coef = np.where(La > _ZERO_BOND, self.k * (La - self.r0) / safe, 0.0)
+        coef = np.where(La > _ZERO_BOND, self.arms.deriv(None, La) / safe, 0.0)
         ga = coef[:, None, :] * arm   # (4, d, B) w.r.t. the corner columns
         np.add(gF, ga.transpose(2, 1, 0), out=gF)
         return e + e_arm, (gF, -reduce(np.add, ga).T[:, :, None])

@@ -18,20 +18,21 @@ floats plus four matrix-vector products.  Its initial inverse Hessian is
 H0 = gamma P^-1, with P^-1 from ``Problem.precondition``.  On the cell route
 P is the Dirichlet graph Laplacian of the free sites, per coordinate, which
 makes the iteration count independent of N (Packwood et al., J. Chem.
-Phys. 144 (2016) 164109).  On the bond route P is the identity: springs
-without transverse stiffness at rest length, or indefinite under
-compression, have Hessians that the Laplacian does not bound.  The first
-step is steepest descent.  The line search tries the unit step first.  A
-step whose energy rises above the rounding floor of the current energy,
-1e-12 (1 + |E|), is halved on energies alone until the Armijo test
-(constant 1e-4) holds.  A step that fails the Armijo test but stays within
-that floor cannot be ranked by energy any more; it is bracketed and
-bisected on the directional derivative instead, until the approximate
-Wolfe conditions of Hager & Zhang (SIAM J. Optim. 16 (2005) 170-192) hold.
-Accepted energies never rise above that floor, and pinned coordinates
-never change.  Everything is deterministic given the options, including
-the random warm starts, which draw from per-start counter-based
-generators.  Each result records why its search stopped.
+Phys. 144 (2016) 164109); on mean-constrained internal shifts it is
+I + 11^T, the rank-one coupling that the constraint puts on them.  On the
+bond route P is the identity: springs without transverse stiffness at rest
+length, or indefinite under compression, have Hessians that the Laplacian
+does not bound.  The first step is steepest descent.  The line search
+tries the unit step first.  A step whose energy rises above the rounding
+floor of the current energy, 1e-12 (1 + |E|), is halved on energies
+alone until the Armijo test (constant 1e-4) holds.  A step that fails the
+Armijo test but stays within that floor cannot be ranked by energy any
+more; it is bracketed and bisected on the directional derivative instead,
+until the approximate Wolfe conditions of Hager & Zhang (SIAM J. Optim.
+16 (2005) 170-192) hold.  Accepted energies never rise above that floor,
+and pinned coordinates never change.  Everything is deterministic given
+the options, including the random warm starts, which draw from per-start
+counter-based generators.  Each result records why its search stopped.
 """
 
 from __future__ import annotations
@@ -240,20 +241,28 @@ class Problem:
         return E, g
 
     def precondition(self, v):
-        """P^-1 v for the quasi-Newton initial Hessian: on the cell route P
-        is the Dirichlet graph Laplacian of the free sites, per coordinate,
-        and the identity on the internal shifts; on the bond route, or with
-        no free site, it is the identity, and ``v`` itself is returned."""
-        if self.bonds is not None or self.n_free == 0:
+        """P^-1 v for the quasi-Newton initial Hessian.  On the cell route P
+        is the Dirichlet graph Laplacian of the free sites, per coordinate.
+        On the internal shifts it is the identity, or with ``s0`` I + 11^T
+        per (d, m) component over the C - 1 free deviations: the last cell
+        carries minus their sum, so that is the shape of their Hessian.  Its
+        inverse is v - (sum v) / C (Sherman-Morrison).  On the bond route,
+        or with nothing to scale, P is the identity and ``v`` itself is
+        returned."""
+        if self.bonds is not None or (self.n_free == 0 and self.s0 is None):
             return v
         n, side, S = self.n_free * self.d, self._sine.shape[0], self._sine
-        w = v[:n]
-        for a in range(self.d):                 # to the sine basis, one site axis at a time
-            w = S @ w.reshape(side ** a, side, -1)
-        w = w * self._inv_eig
-        for a in range(self.d):                 # and back: S is its own inverse
-            w = S @ w.reshape(side ** a, side, -1)
-        return np.concatenate((w.ravel(), v[n:]))
+        w, shifts = v[:n], v[n:]
+        if self.n_free:
+            for a in range(self.d):             # to the sine basis, one site axis at a time
+                w = S @ w.reshape(side ** a, side, -1)
+            w = w * self._inv_eig
+            for a in range(self.d):             # and back: S is its own inverse
+                w = S @ w.reshape(side ** a, side, -1)
+        if self.s0 is not None:
+            shifts = shifts.reshape(self.n_cells - 1, self.d * self.m)
+            shifts = shifts - shifts.sum(axis=0) / self.n_cells
+        return np.concatenate((w.ravel(), shifts.ravel()))
 
     def energy_only(self, x) -> float:
         return self._evaluate(x, False)

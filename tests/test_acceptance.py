@@ -194,12 +194,10 @@ def test_criterion_08_hessian_identity_and_cauchy(square_spec):
     for lattice, cutoff in ((square_lattice(), 2.5), (build_lattice(3, np.eye(3)), 2.5)):
         r = np.linalg.norm(lattice_vectors_within(lattice, cutoff)[1], axis=1)
         sigma = float((np.sum(r**-6.0) / (2.0 * np.sum(r**-12.0))) ** (1 / 6))
-        v1, v2 = lennard_jones(1.0, sigma).at_rest()
-        tensor = pair_elastic_tensor(v1, v2, lattice, cutoff)
+        tensor = pair_elastic_tensor(lennard_jones(1.0, sigma), lattice, cutoff)
         rel = cauchy_residuals(tensor).max_cauchy / np.abs(tensor.c).max()
         worst = max(worst, rel)
-    v1, v2 = harmonic_pair(1.0, 1.0, shell=1.0).at_rest()
-    tensor = pair_elastic_tensor(v1, v2, square_lattice(), 1.0)
+    tensor = pair_elastic_tensor(harmonic_pair(1.0, 1.0, shell=1.0), square_lattice(), 1.0)
     worst = max(worst, cauchy_residuals(tensor).max_cauchy / np.abs(tensor.c).max())
     assert worst <= 1e-10
     dt = elapsed_guard(t0, 300, 8)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cellhom import (QuadraticForm, build_lattice, cauchy_born_density,
+from cellhom import (PairPotential, QuadraticForm, build_lattice, cauchy_born_density,
                      cauchy_residuals, harmonic_pair, lennard_jones,
                      numeric_elastic_tensor, pair_elastic_tensor,
                      quadratic_form_model, quadratic_model_hessian_check,
@@ -9,15 +9,22 @@ from cellhom import (QuadraticForm, build_lattice, cauchy_born_density,
 from cellhom.elasticity import ElasticTensor
 
 
+def radial(deriv, deriv2):
+    """A PairPotential with the given derivatives at rest, as callables of
+    the radius (its value is never read)."""
+    return PairPotential(value=None, deriv=lambda r, rho: deriv(rho),
+                         deriv2=lambda r, rho: deriv2(rho))
+
+
 def test_zero_potential_zero_tensor(square_spec):
-    t = pair_elastic_tensor(lambda r: 0.0 * r, lambda r: 0.0 * r, square_spec, 1.5)
+    t = pair_elastic_tensor(radial(lambda r: 0.0 * r, lambda r: 0.0 * r), square_spec, 1.5)
     assert np.all(t.c == 0.0)
 
 
 def test_nearest_neighbour_hand_sum(square_spec):
     # V'' = 2, V'(1) = 0 on the four nearest neighbours: the only
     # contribution is 2 * x_i x_j x_k x_l summed over +-e1, +-e2
-    t = pair_elastic_tensor(lambda r: 0.0 * r, lambda r: 2.0 + 0.0 * r,
+    t = pair_elastic_tensor(radial(lambda r: 0.0 * r, lambda r: 2.0 + 0.0 * r),
                             square_spec, 1.0)
     assert t.c[0, 0, 0, 0] == pytest.approx(4.0, abs=1e-14)
     assert t.c[1, 1, 1, 1] == pytest.approx(4.0, abs=1e-14)
@@ -41,8 +48,7 @@ def test_lj_cubic_cauchy_relations():
     # classical six relations
     cubic = build_lattice(3, np.eye(3))
     sigma = equilibrium_lj_sigma(cubic, 2.5)
-    v1, v2 = lennard_jones(1.0, sigma).at_rest()
-    t = pair_elastic_tensor(v1, v2, cubic, 2.5)
+    t = pair_elastic_tensor(lennard_jones(1.0, sigma), cubic, 2.5)
     rep = cauchy_residuals(t)
     scale = float(np.abs(t.c).max())
     assert rep.max_cauchy <= 1e-10 * scale
@@ -55,23 +61,21 @@ def test_prestressed_pair_lattice_breaks_cauchy(square_spec):
     # where V' = sqrt(2) - 1 != 0: the lattice is not stress-free, and
     # c_1122 = c_1212 fails by the stress term of c_1212,
     # sum_x V'(|x|) x_2^2 / |x| = 4 (sqrt(2) - 1) / sqrt(2)
-    v1, v2 = harmonic_pair(1.0, 1.0).at_rest()
-    rep = cauchy_residuals(pair_elastic_tensor(v1, v2, square_spec, 1.5))
+    rep = cauchy_residuals(pair_elastic_tensor(harmonic_pair(1.0, 1.0), square_spec, 1.5))
     assert rep.max_cauchy == pytest.approx(4.0 - 2.0 * np.sqrt(2.0), rel=1e-12)
 
 
 def test_pair_swap_symmetries_hold_for_any_potential():
     # without equilibration only the swap symmetries are exact
     cubic = build_lattice(3, np.eye(3))
-    v1, v2 = lennard_jones(1.0, 2 ** (-1 / 6)).at_rest()
-    c = pair_elastic_tensor(v1, v2, cubic, 2.5).c
+    c = pair_elastic_tensor(lennard_jones(1.0, 2 ** (-1 / 6)), cubic, 2.5).c
     assert np.abs(c - np.transpose(c, (0, 3, 2, 1))).max() <= 1e-12 * np.abs(c).max()
     assert np.abs(c - np.transpose(c, (2, 1, 0, 3))).max() <= 1e-12 * np.abs(c).max()
 
 
 def test_empty_shell_set(square_spec):
     with pytest.raises(ValueError, match="empty shell"):
-        pair_elastic_tensor(lambda r: r, lambda r: r, square_spec, 0.5)
+        pair_elastic_tensor(radial(lambda r: r, lambda r: r), square_spec, 0.5)
 
 
 def test_numeric_quadratic_density():
@@ -92,8 +96,7 @@ def test_cross_oracle_harmonic(square_spec, harmonic):
     # the spring model counts each unordered bond once, i.e. it matches the
     # ordered-pair convention with half the potential
     pot = harmonic_pair(k=1.0, r0=1.0, shell=1.0)
-    v1, v2 = pot.at_rest()
-    t_pair = pair_elastic_tensor(v1, v2, square_spec, 1.0)
+    t_pair = pair_elastic_tensor(pot, square_spec, 1.0)
     t_num = numeric_elastic_tensor(lambda M: cauchy_born_density(harmonic, M),
                                    d=2, h=1e-3)
     scale = max(1.0, np.abs(t_pair.c).max())

@@ -189,6 +189,16 @@ def test_pair_brute_force_oracle(square_spec):
     assert total == pytest.approx(oracle, rel=1e-12)
 
 
+def test_harmonic_springs_brute_force_oracle(square_spec):
+    # harmonic springs are the pair model of harmonic_pair(2k, r0) at cutoff 1
+    model = harmonic_spring_model(square_spec, 0.7, 1.3)
+    grid = build_grid(model.spec, 7)
+    y = grid.site_coords + 0.1 * np.random.default_rng(6).standard_normal(grid.site_coords.shape)
+    F = np.swapaxes(y[grid.interior_cell_sites], 1, 2)
+    total = float(model.energy_many(F).sum())     # energy_many centres each cell
+    assert total == pytest.approx(brute_force_pair_energy(model, grid, y), rel=1e-12)
+
+
 def test_pair_affine_matches_shell_sum(square_spec):
     # affine bulk energy per cell equals half the ordered-pair lattice sum
     pot = lennard_jones(1.0, 2 ** (-1 / 6))

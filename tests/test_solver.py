@@ -203,16 +203,18 @@ def test_bond_table_weights(square_spec, harmonic):
     grid = build_grid(square_spec, 6)
     r, n = grid.spec.radius, 6 - 2 * grid.spec.radius   # interior cells: an n-box
     springs = pair_potential_model(square_spec, harmonic_pair(2.0, 1.0, shell=1.0), 1.0)
-    for model, bulk in [(harmonic, 2.0), (springs, 1.0)]:
-        i, j, w, _ = Problem(grid, model, np.eye(2)).bonds
-        assert np.all(i < j) and len(set(zip(i, j))) == len(i)
-        assert len(i) == 2 * n * (n + 1)      # every nearest-neighbour pair once
-        # a pair on a face of the interior-cell box is held by one interior
-        # cell, any other pair by two
-        face = np.any((grid.site_multi[i] == grid.site_multi[j])
-                      & np.isin(grid.site_multi[i], (r, r + n)), axis=1)
-        assert face.sum() == 4 * n
-        assert np.array_equal(w, np.where(face, 0.5 * bulk, bulk)), model.name
+    # harmonic springs are the shell-harmonic pair model, table for table
+    assert all(np.array_equal(a, b) for a, b in zip(
+        Problem(grid, harmonic, np.eye(2)).bonds, Problem(grid, springs, np.eye(2)).bonds))
+    i, j, w, _ = Problem(grid, springs, np.eye(2)).bonds
+    assert np.all(i < j) and len(set(zip(i, j))) == len(i)
+    assert len(i) == 2 * n * (n + 1)      # every nearest-neighbour pair once
+    # a pair on a face of the interior-cell box is held by one interior
+    # cell, any other pair by two
+    face = np.any((grid.site_multi[i] == grid.site_multi[j])
+                  & np.isin(grid.site_multi[i], (r, r + n)), axis=1)
+    assert face.sum() == 4 * n
+    assert np.array_equal(w, np.where(face, 0.5, 1.0))
     lj = pair_potential_model(square_spec, LJ, 2.5)
     problem = Problem(build_grid(lj.spec, 7), lj, np.eye(2))
     w = problem.bonds[2]
@@ -663,6 +665,39 @@ def test_cell_route_preconditioner_inverts_dirichlet_laplacian(case, N, square_s
     assert np.linalg.norm(Lu.ravel() - v[:n]) <= 1e-12 * np.linalg.norm(v[:n])
     assert (problem.n_internal > 0) == (case == "multilattice")
     assert np.array_equal(u[n:], v[n:])          # internal shifts: identity
+
+
+@pytest.mark.parametrize("N", [7, 3])
+def test_preconditioner_inverts_shift_coupling_with_s0(N, multilattice):
+    # with a prescribed mean the last cell's shift is minus the sum of the
+    # others, so P is I + 11^T on each (d, m) component of the C - 1 free
+    # deviations; the site block is still the Dirichlet Laplacian
+    problem = Problem(build_grid(multilattice.spec, N), multilattice,
+                      np.array([[1.05, 0.02], [0.0, 0.97]]), s0=[[0.02], [0.01]])
+    n = problem.n_free * problem.d
+    v = np.random.default_rng(7).standard_normal(problem.n_vars)
+    u = problem.precondition(v)
+    U = u[n:].reshape(problem.n_cells - 1, problem.d * problem.m)
+    PU = U + np.ones((len(U), len(U))) @ U
+    assert np.linalg.norm(PU.ravel() - v[n:]) <= 1e-12 * np.linalg.norm(v[n:])
+    Lu = dirichlet_laplacian(problem) @ u[:n].reshape(problem.n_free, problem.d)
+    assert np.linalg.norm(Lu.ravel() - v[:n]) <= 1e-12 * max(1.0, np.linalg.norm(v[:n]))
+
+
+def test_multilattice_s0_buckling_start_iterations_are_mesh_independent(multilattice):
+    # with the shift block of P the buckling start needs 17, 20 and 21
+    # iterations; with an identity block it needed 37, 58 and 118
+    M, s0 = np.array([[1.05, 0.02], [0.0, 0.97]]), np.array([[0.02], [0.01]])
+    for N in (6, 8, 12):
+        grid = build_grid(multilattice.spec, N)
+        problem = Problem(grid, multilattice, M, s0=s0)
+        internal = InternalField(grid, np.tile(s0[None], (problem.n_cells, 1, 1)))
+        E_affine = problem.energy_only(
+            problem.start_vector(affine_deformation(grid, M), internal))
+        res = minimize(problem, SolveOptions(), buckling_start(grid, M), internal,
+                       start_label="buckling")
+        assert res.converged and res.iterations <= 30, (N, res.iterations)
+        assert abs(res.energy - E_affine) <= solver._ENERGY_FLOOR * (1.0 + abs(E_affine))
 
 
 @pytest.mark.parametrize("potential", ["harmonic", "lj"])
