@@ -19,9 +19,8 @@ from .homogenize import (HomogenizationResult, cauchy_born_density,
 from .lattice import (CellGrid, LatticeSpec, build_grid, build_lattice,
                       cell_sites, square_lattice)
 from .models import (EnergyModel, MatrixDensity, PairPotential, QuadraticForm,
-                     SimplicialDecomposition, constant_density,
                      frobenius_squared_density, harmonic_pair,
-                     harmonic_spring_model, kuhn_decomposition, lennard_jones,
+                     harmonic_spring_model, lennard_jones,
                      multilattice_harmonic_model, pair_potential_model,
                      quadratic_form_model, quasiconvex_wrapper_model)
 from .solver import (Problem, SolveOptions, SolveResult, buckling_start,

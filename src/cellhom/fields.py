@@ -165,14 +165,12 @@ def gradient_equivalence_ratio(deformation: Deformation, cell: int, p: float):
     """(average |interpolant gradient|^p over the cell) / |discrete gradient|^p.
 
     The average is exact because the interpolant gradient is constant per
-    piece.  Returned as a (lower, upper) pair: both entries carry the same
-    sample value, to be compared against the certified interval.
+    piece; compare it against the interval of ``certified_ratio_bounds``.
     """
     F = discrete_gradient(deformation, cell)
     if np.linalg.norm(F) <= 1e-14:
         raise ValueError("ratio undefined: zero discrete gradient")
-    ratio = _ratio(F, *_piece_maps(deformation.grid.spec), p)
-    return ratio, ratio
+    return _ratio(F, *_piece_maps(deformation.grid.spec), p)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ __all__ = [
     "tiling_upper_bound_check",
 ]
 
+_GAP_THRESHOLD = 0.01    # W_CB - w_cont above which cb_validity_scan flags M
+
 
 @dataclass
 class HomogenizationResult:
@@ -146,13 +148,12 @@ def cauchy_born_density(model: EnergyModel, M, s=None) -> float:
 
 
 def cb_validity_scan(model: EnergyModel, M_list, schedule,
-                     opts: SolveOptions | None = None,
-                     gap_threshold: float = 0.01):
+                     opts: SolveOptions | None = None):
     """Compare the affine density with the relaxed cell-problem estimate.
 
     Returns one row per matrix: (M, W_CB, w_cont, gap, flagged), where a
-    flagged positive gap marks a candidate failure of the affine
-    (Cauchy-Born) description at that deformation.
+    gap above ``_GAP_THRESHOLD`` is flagged as a candidate failure of the
+    affine (Cauchy-Born) description at that deformation.
     """
     rows = []
     for M in M_list:
@@ -165,7 +166,7 @@ def cb_validity_scan(model: EnergyModel, M_list, schedule,
             "w_cb": wcb,
             "w_cont": est.w_cont,
             "gap": gap,
-            "flagged": gap > gap_threshold,
+            "flagged": gap > _GAP_THRESHOLD,
             "result": est,
         })
     return rows

@@ -221,22 +221,6 @@ class CellGrid:
     def n_interior(self) -> int:
         return self.interior_cell_sites.shape[0]
 
-    @property
-    def interior_cells(self) -> np.ndarray:
-        return np.nonzero(self.interior_mask)[0]
-
-    @property
-    def boundary_cells(self) -> np.ndarray:
-        return np.nonzero(~self.interior_mask)[0]
-
-    @property
-    def free_sites(self) -> np.ndarray:
-        return np.nonzero(self.free_mask)[0]
-
-    @property
-    def pinned_sites(self) -> np.ndarray:
-        return np.nonzero(~self.free_mask)[0]
-
 
 def build_grid(spec: LatticeSpec, N: int) -> CellGrid:
     """Enumerate the cells and sites of the N^d box.

@@ -32,8 +32,9 @@ the subdifferential is returned for the offending term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
+from itertools import permutations
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,7 +44,6 @@ from .lattice import (LatticeSpec, build_lattice, integer_box, lattice_vectors_w
 
 __all__ = [
     "EnergyModel",
-    "SimplicialDecomposition",
     "PairPotential",
     "MatrixDensity",
     "QuadraticForm",
@@ -52,11 +52,9 @@ __all__ = [
     "quasiconvex_wrapper_model",
     "quadratic_form_model",
     "multilattice_harmonic_model",
-    "kuhn_decomposition",
     "lennard_jones",
     "harmonic_pair",
     "frobenius_squared_density",
-    "constant_density",
 ]
 
 _ZERO_BOND = 1e-14
@@ -342,65 +340,8 @@ def harmonic_spring_model(spec: LatticeSpec, k: float, r0: float) -> EnergyModel
 
 
 # ---------------------------------------------------------------------------
-# simplicial decompositions and the quasiconvex wrapper
+# the quasiconvex wrapper
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class SimplicialDecomposition:
-    """A decomposition of the cell A[-1/2,1/2]^d into corner simplices.
-
-    Each simplex is an ordered (d+1)-tuple of vertex coordinates, all of
-    which must be cell corners.  ``corner_ids`` maps every vertex to its
-    column in the corner matrix.
-    """
-
-    d: int
-    simplices: list            # list of (d+1, d) arrays
-    volumes: np.ndarray = field(default=None)
-    corner_ids: list = field(default=None)
-
-    def validate(self, spec: LatticeSpec, n_probe=2048, seed=7):
-        corners = spec.corners.T  # (2^d, d)
-        if any(np.shape(verts) != (self.d + 1, self.d) for verts in self.simplices):
-            raise ValueError("bad decomposition: simplex has wrong shape")
-        verts = np.asarray(self.simplices, dtype=float).reshape(-1, self.d + 1, self.d)
-        hits = np.linalg.norm(verts[:, :, None] - corners, axis=-1) < 1e-9
-        if np.any(hits.sum(axis=-1) != 1):
-            raise ValueError("bad decomposition: vertex is not a cell corner")
-        ids = hits.argmax(axis=-1)                       # (S, d+1) corner columns
-        W, vols = simplex_maps(np.eye(len(corners))[ids], corners)
-        if abs(vols.sum() - spec.det_abs) > 1e-9 * max(1.0, spec.det_abs):
-            raise ValueError("bad decomposition: volumes do not sum to the cell volume")
-        # overlap-on-null-sets check at random probe points; row ids[k] of
-        # W maps a point to its barycentric coordinate on vertex k >= 1
-        rng = np.random.default_rng(seed)
-        probes = (rng.random((n_probe, self.d)) - 0.5) @ spec.A.T
-        inside = np.zeros(n_probe, dtype=int)
-        for Ws, match in zip(W, ids):
-            lam = (probes - corners[match[0]]) @ Ws[match[1:]].T
-            inside += (lam > 1e-10).all(axis=1) & (lam.sum(axis=1) < 1 - 1e-10)
-        if inside.max() > 1:
-            raise ValueError("bad decomposition: simplices overlap")
-        self.volumes = vols
-        self.corner_ids = ids.tolist()
-        return self
-
-
-def kuhn_decomposition(spec: LatticeSpec) -> SimplicialDecomposition:
-    """The Kuhn (Freudenthal) decomposition of the cell into d! simplices.
-
-    For each permutation of the axes the simplex walks from the lowest
-    corner to the highest one axis at a time; all corners lie in the
-    corner set, so the decomposition is admissible for corner-interpolated
-    densities.
-    """
-    from itertools import permutations
-
-    # bit j of a corner's column index is its coordinate on axis j, so each
-    # step of the walk from corner 0 sets one bit
-    walks = [np.cumsum([0] + [1 << axis for axis in perm]) for perm in permutations(range(spec.d))]
-    return SimplicialDecomposition(d=spec.d, simplices=[spec.corners.T[w] for w in walks]).validate(spec)
 
 
 @dataclass(frozen=True)
@@ -433,29 +374,20 @@ def frobenius_squared_density() -> MatrixDensity:
     )
 
 
-def constant_density(c: float) -> MatrixDensity:
-    return MatrixDensity(
-        value=lambda M: np.full(np.asarray(M).shape[:-2], float(c)),
-        grad=lambda M: np.zeros_like(np.asarray(M, dtype=float)),
-        p=2.0,
-        name=f"constant({c})",
-        nonnegative=c >= 0,
-        objective=True,
-    )
-
-
 class QuasiconvexWrapperModel(EnergyModel):
-    def __init__(self, spec, density, decomp):
+    def __init__(self, spec, density):
         super().__init__(
             "quasiconvex-wrapper", spec, p=density.p,
             nonnegative=density.nonnegative,
             frame_indifferent=density.objective,
         )
         self.density = density
-        self.decomp = decomp
-        # Per simplex: G_S(F) = F @ B_S, a fixed (n_cols, d) matrix.
-        self._B, _ = simplex_maps(np.eye(spec.n_cols)[decomp.corner_ids], spec.corners.T)
-        self._w = decomp.volumes.copy()   # (n_simplices,)
+        # The d! Kuhn (Freudenthal) simplices walk from corner 0 one axis at a
+        # time, in each axis order; bit j of a corner's column index is its
+        # coordinate on axis j.  Per simplex: G_S(F) = F @ B_S, a fixed
+        # (n_cols, d) matrix, and _w holds the volumes |S|.
+        walks = [np.cumsum([0] + [1 << a for a in perm]) for perm in permutations(range(spec.d))]
+        self._B, self._w = simplex_maps(np.eye(spec.n_cols)[walks], spec.corners.T)
         # row (s, k) is column k of B_S: G_S[:, :, k] = F @ B_S[:, k]
         self._Bt = self._B.transpose(0, 2, 1).reshape(-1, spec.n_cols)
         # Cell-level growth constants are exact for quadratic densities:
@@ -488,25 +420,17 @@ class QuasiconvexWrapperModel(EnergyModel):
         return E, (gX.reshape(n, d, -1).transpose(2, 1, 0), None)
 
 
-def quasiconvex_wrapper_model(spec: LatticeSpec, density: MatrixDensity,
-                              decomp: SimplicialDecomposition | None = None) -> EnergyModel:
+def quasiconvex_wrapper_model(spec: LatticeSpec, density: MatrixDensity) -> EnergyModel:
     """Cell energy obtained by integrating a matrix density over the cell.
 
-    The corner values are interpolated affinely on each simplex of the
-    decomposition (Kuhn by default), and the energy is the exact integral
-    sum_S |S| * V(G_S) of the piecewise-constant interpolant gradient.
-    For quasiconvex V the homogenized density reproduces V itself.
+    The corner values are interpolated affinely on each of the d! Kuhn
+    simplices, and the energy is the exact integral sum_S |S| * V(G_S) of
+    the piecewise-constant interpolant gradient.  For quasiconvex V the
+    homogenized density reproduces V itself.
     """
     if spec.n_cols != spec.n_corners:
         raise ValueError("quasiconvex wrapper requires a unit-cell stencil")
-    if decomp is None:
-        decomp = kuhn_decomposition(spec)
-    elif decomp.volumes is None or decomp.corner_ids is None:
-        decomp = decomp.validate(spec)
-    else:
-        if abs(decomp.volumes.sum() - spec.det_abs) > 1e-9 * max(1.0, spec.det_abs):
-            raise ValueError("bad decomposition: volumes do not sum to the cell volume")
-    return QuasiconvexWrapperModel(spec, density, decomp)
+    return QuasiconvexWrapperModel(spec, density)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,10 @@ class SolveOptions:
             raise ValueError("grad_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if self.history < 0:
+            raise ValueError("history must be nonnegative")
+        if self.n_random_starts < 0:
+            raise ValueError("n_random_starts must be nonnegative")
         if self.perturb_amp < 0:
             raise ValueError("perturb_amp must be nonnegative")
 
@@ -103,7 +107,7 @@ class Problem:
     table of the whole sample, None for models evaluated cell by cell.
     Kernels read batch-last memory: y itself as ``y.T[None]`` (bond route),
     or the cells gathered by one ``take`` into an (n_cols, d, C) buffer; the
-    cell gradients are scattered cell by cell, as a per-cell ``np.add.at``.
+    cell gradients go back onto y by one ``np.bincount`` over ``_scatter``.
     """
 
     def __init__(self, grid: CellGrid, model: EnergyModel, M, s0=None):

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import os
 import pathlib
@@ -261,3 +262,22 @@ def test_src_has_no_assert():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in src/cellhom: {found}"
+
+
+def test_export_lists_resolve():
+    # a removal that leaves its name in __all__ breaks ``import *``; every
+    # name the package root imports must be some module's public name
+    src = pathlib.Path(cellhom.__file__).parent
+    public = set()
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"cellhom.{path.stem}")
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"cellhom.{path.stem}.__all__ names undefined {missing}"
+        public.update(module.__all__)
+    tree = ast.parse((src / "__init__.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported, "no imports found in cellhom/__init__.py"
+    assert not imported - public, f"imported but in no __all__: {sorted(imported - public)}"

@@ -68,7 +68,7 @@ def test_cauchy_born_density_values(harmonic):
 
 def test_cb_scan_flags_compression(harmonic):
     rows = cb_validity_scan(harmonic, [np.diag([0.5, 1.0]), rotation(0.5)],
-                            [8, 16, 32], FAST, gap_threshold=0.01)
+                            [8, 16, 32], FAST)
     comp, rot = rows
     assert comp["gap"] == pytest.approx(0.25, abs=0.01)
     assert comp["flagged"]

@@ -49,7 +49,7 @@ def test_stencil_radius():
 def test_grid_counts_n3(square_spec):
     grid = build_grid(square_spec, 3)
     assert grid.n_interior == 1          # (N-2)^2
-    assert len(grid.boundary_cells) == 8  # N^2 - 1 by enumeration
+    assert np.count_nonzero(~grid.interior_mask) == 8  # N^2 - 1 by enumeration
     assert grid.n_sites == 16            # (N+1)^2
 
 
@@ -57,7 +57,7 @@ def test_grid_counts_n5(square_spec):
     grid = build_grid(square_spec, 5)
     assert grid.n_interior == 9
     # every non-interior cell touches the box faces
-    for cell in grid.boundary_cells:
+    for cell in np.flatnonzero(~grid.interior_mask):
         k = grid.cell_multi[cell]
         assert k.min() == 0 or k.max() == 4
 
@@ -101,7 +101,7 @@ def test_cell_sites_corner_cell_pinned(square_spec):
 
 def test_corner_order_matches_columns(square_spec):
     grid = build_grid(square_spec, 5)
-    for cell in grid.interior_cells:
+    for cell in np.flatnonzero(grid.interior_mask):
         center = square_spec.A @ (grid.cell_multi[int(cell)] + 0.5)
         sites = cell_sites(grid, int(cell))
         for j, s in enumerate(sites):
@@ -112,14 +112,14 @@ def test_corner_order_matches_columns(square_spec):
 def test_free_sites_touch_only_interior(square_spec):
     grid = build_grid(square_spec, 6)
     interior = set(map(tuple, grid.cell_multi[grid.interior_mask]))
-    for s in grid.free_sites:
+    for s in np.flatnonzero(grid.free_mask):
         i = grid.site_multi[s]
         for da in (-1, 0):
             for db in (-1, 0):
                 k = (i[0] + da, i[1] + db)
                 if all(0 <= v < grid.N for v in k):
                     assert k in interior
-    assert len(grid.free_sites) + len(grid.pinned_sites) == grid.n_sites
+    assert len(np.flatnonzero(grid.free_mask)) + len(np.flatnonzero(~grid.free_mask)) == grid.n_sites
 
 
 def test_grid_build_deterministic(square_spec):

@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from cellhom import (QuadraticForm, build_grid, build_lattice, constant_density,
-                     frobenius_squared_density, harmonic_pair, harmonic_spring_model, kuhn_decomposition,
+from cellhom import (MatrixDensity, QuadraticForm, build_grid, build_lattice,
+                     frobenius_squared_density, harmonic_pair, harmonic_spring_model,
                      lennard_jones, multilattice_harmonic_model,
                      pair_potential_model, quadratic_form_model,
                      quasiconvex_wrapper_model, square_lattice)
-from cellhom.models import SimplicialDecomposition, _smoothstep, check_quadratic_form
+from cellhom.models import _smoothstep, check_quadratic_form
 
 from conftest import fd_gradient, max_rel_err, random_rotation, rotation
 
@@ -233,41 +235,54 @@ def test_wrapper_affine_value(square_spec):
 
 
 def test_wrapper_constant_density(square_spec, rng):
-    model = quasiconvex_wrapper_model(square_spec, constant_density(7.0))
+    constant = MatrixDensity(value=lambda M: np.full(np.shape(M)[:-2], 7.0),
+                             grad=lambda M: np.zeros(np.shape(M)))
+    model = quasiconvex_wrapper_model(square_spec, constant)
     F = centered(square_spec.corners + rng.standard_normal((2, 4)))
     assert model.energy(F) == pytest.approx(7.0 * square_spec.det_abs, abs=1e-14)
 
 
 def test_wrapper_corner_bump_brute_force(square_spec):
     model = quasiconvex_wrapper_model(square_spec, frobenius_squared_density())
-    decomp = model.decomp
     F = square_spec.corners.copy()
     F[:, 0] += np.array([-0.3, 0.0])   # push the lowest corner outward
     F = centered(F)
-    # direct per-simplex evaluation
+    # direct per-simplex evaluation on the two Kuhn triangles of the unit
+    # square, 0 -> 1 -> 3 and 0 -> 2 -> 3 in corner columns
     expected = 0.0
-    for verts, ids, vol in zip(decomp.simplices, decomp.corner_ids, decomp.volumes):
-        verts = np.asarray(verts)
+    for ids in ([0, 1, 3], [0, 2, 3]):
+        verts = square_spec.corners[:, ids].T
         vals = F[:, ids].T
         G = (vals[1:] - vals[0]).T @ np.linalg.inv((verts[1:] - verts[0]).T)
-        expected += vol * np.sum(G**2)
+        expected += 0.5 * np.sum(G**2)
     got = model.energy(F)
     assert got == pytest.approx(expected, rel=1e-13)
     baseline = model.energy(centered(square_spec.corners))
     assert got > baseline + 0.01
 
 
-def test_kuhn_decomposition_valid(square_spec):
-    decomp = kuhn_decomposition(square_spec)
-    assert len(decomp.simplices) == 2
-    assert decomp.volumes.sum() == pytest.approx(square_spec.det_abs, abs=1e-12)
-
-
-def test_bad_decomposition_rejected(square_spec):
-    decomp = kuhn_decomposition(square_spec)
-    broken = SimplicialDecomposition(d=2, simplices=[decomp.simplices[0]])
-    with pytest.raises(ValueError, match="bad decomposition"):
-        quasiconvex_wrapper_model(square_spec, frobenius_squared_density(), broken)
+@pytest.mark.parametrize("A", [np.eye(2), np.eye(3), np.array([[1.0, 0.4], [0.1, 0.9]])],
+                         ids=["square", "cube", "skewed"])
+def test_kuhn_simplices_tile_the_cell(A, rng):
+    d = len(A)
+    spec = build_lattice(d, A)
+    model = quasiconvex_wrapper_model(spec, frobenius_squared_density())
+    assert len(model._w) == math.factorial(d)
+    assert model._w.sum() == pytest.approx(spec.det_abs, abs=1e-12)
+    # each simplex reproduces affine corner values: (M @ corners) @ B_S = M
+    M = rng.standard_normal((d, d))
+    assert np.allclose(M @ spec.corners @ model._B, M, atol=1e-12)
+    # every probe point of the cell lies inside exactly one simplex, whose
+    # vertices are the corners with a nonzero row in B_S
+    probes = (rng.random((2048, d)) - 0.5) @ A.T
+    inside = np.zeros(len(probes), dtype=int)
+    for B in model._B:
+        ids = np.flatnonzero(np.abs(B).sum(axis=1) > 1e-12)
+        assert len(ids) == d + 1
+        lam = np.linalg.solve(np.vstack([spec.corners[:, ids], np.ones(d + 1)]),
+                              np.vstack([probes.T, np.ones(len(probes))]))
+        inside += (lam > 1e-10).all(axis=0)
+    assert np.all(inside == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -320,14 +320,15 @@ def test_minimize_pinned_sites_never_move(grid5, harmonic, rng):
     problem = Problem(grid5, harmonic, M)
     start = affine_deformation(grid5, M)
     start.y[grid5.free_mask] += 0.2 * rng.standard_normal((problem.n_free, 2))
-    pinned_before = start.y[grid5.pinned_sites].copy()
+    pinned = np.flatnonzero(~grid5.free_mask)
+    pinned_before = start.y[pinned].copy()
     res = minimize(problem, FAST, start, start_label="x")
-    assert np.array_equal(res.argmin.y[grid5.pinned_sites], pinned_before)
+    assert np.array_equal(res.argmin.y[pinned], pinned_before)
 
 
 def test_minimize_rejects_bad_start(grid5, harmonic):
     dfm = affine_deformation(grid5, np.eye(2))
-    dfm.y[grid5.pinned_sites[0]] += 1.0
+    dfm.y[np.flatnonzero(~grid5.free_mask)[0]] += 1.0
     problem = Problem(grid5, harmonic, np.eye(2))
     with pytest.raises(ValueError, match="boundary pinning"):
         minimize(problem, FAST, dfm)
@@ -548,6 +549,11 @@ def test_options_validation():
         SolveOptions(max_iter=0)
     with pytest.raises(ValueError):
         SolveOptions(perturb_amp=-1.0)
+    with pytest.raises(ValueError, match="history"):
+        SolveOptions(history=-1)
+    with pytest.raises(ValueError, match="n_random_starts"):
+        SolveOptions(n_random_starts=-2)
+    SolveOptions(history=0, n_random_starts=0)   # steepest descent, affine start only
 
 
 def textbook_direction(pairs, g, precondition=lambda v: v):
