@@ -36,11 +36,9 @@ __all__ = ["RunConfig", "parse_config", "run", "main"]
 ARTIFACT_VERSION = "0.1.0"
 
 _TASKS = ("homogenize", "cb_scan", "elastic", "tiling_check")
-_TOP_KEYS = {"lattice", "model", "task", "M", "s0", "schedule", "solver",
-             "output", "seed"}
+_TOP_KEYS = {"lattice", "model", "task", "M", "s0", "schedule", "solver", "seed"}
 _LATTICE_KEYS = {"d", "A", "m"}
-_SOLVER_KEYS = {"grad_tol", "max_iter", "history", "n_random_starts",
-                "perturb_amp", "seed", "use_buckling_starts"}
+_SOLVER_KEYS = {"grad_tol", "max_iter", "history", "n_random_starts", "perturb_amp"}
 _MODEL_KEYS = {"name", "params"}
 
 _DEFAULT_SCHEDULES = {2: [8, 16, 32, 64], 3: [4, 6, 8, 12]}
@@ -55,7 +53,6 @@ class RunConfig:
     s0_list: list | None
     schedule: list
     solver: SolveOptions
-    seed: int
 
     @property
     def config_hash(self) -> str:
@@ -157,16 +154,12 @@ def parse_config(path) -> RunConfig:
 
     sol = dict(raw.get("solver", {}))
     _reject_unknown(sol, _SOLVER_KEYS, "solver block")
-    seed = int(raw.get("seed", 0))
-    env_seed = os.environ.get("CELLHOM_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
-    sol.setdefault("seed", seed)
-    solver = SolveOptions(**sol)
+    seed = int(os.environ.get("CELLHOM_SEED", raw.get("seed", 0)))
+    solver = SolveOptions(**sol, seed=seed)
 
     return RunConfig(raw=raw, model=model, task=task,
                      M_list=M_list, s0_list=s0_list, schedule=schedule,
-                     solver=solver, seed=seed)
+                     solver=solver)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ is exactly the admissible set for cell energies.
 The continuous piecewise-affine interpolant of the corner values (built by
 recursive face-barycenter subdivision, 8 triangles per 2D cell) is used
 for diagnostics only: its cell-averaged gradient p-norm is equivalent to
-the discrete gradient norm with constants that depend only on the lattice
-basis, and this module computes those constants once per basis.
+the norm of the discrete gradient's corner block, with constants that
+depend only on the lattice basis; this module computes them once per basis.
 """
 
 from __future__ import annotations
@@ -18,15 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import CellGrid, LatticeSpec, flat_index, simplex_maps
+from .lattice import CellGrid, LatticeSpec, simplex_maps
 
 __all__ = [
     "Deformation",
     "InternalField",
-    "InterpolationPiece",
     "affine_deformation",
     "discrete_gradient",
-    "interpolate_cell",
     "gradient_equivalence_ratio",
     "certified_ratio_bounds",
 ]
@@ -49,16 +47,6 @@ class InternalField:
 
     grid: CellGrid
     s: np.ndarray  # (n_interior, d, m)
-
-
-@dataclass(frozen=True)
-class InterpolationPiece:
-    """One affine piece of the cell interpolant: simplex + its gradient."""
-
-    vertices: np.ndarray  # (d+1, d), cell-local coordinates
-    values: np.ndarray    # (d+1, d)
-    gradient: np.ndarray  # (d, d)
-    volume: float
 
 
 def affine_deformation(grid: CellGrid, M) -> Deformation:
@@ -136,40 +124,23 @@ def _cell_simplices(d):
     return _FACE_CACHE[d]
 
 
-def interpolate_cell(deformation: Deformation, cell: int) -> list[InterpolationPiece]:
-    """Piecewise-affine interpolant of one cell's corner values.
-
-    Face barycenters take the mean of their corner values; the affine
-    pieces tile the cell and agree across shared faces, so the interpolant
-    is continuous.  In 2D each cell splits into 8 triangles.
-    """
-    grid = deformation.grid
-    if cell < 0 or cell >= grid.n_cells:
-        raise ValueError(f"cell index out of range: {cell}")
-    spec = grid.spec
-    sites = flat_index(grid.cell_multi[cell] + spec.offsets_int[: spec.n_corners], grid.N + 1)
-    corner_vals = deformation.y[sites]          # (2^d, d)
-    weights = _cell_simplices(spec.d)
-    W, vols = simplex_maps(weights, spec.corners.T)
-    return [InterpolationPiece(wt @ spec.corners.T, wt @ corner_vals, corner_vals.T @ Wp, vol)
-            for wt, Wp, vol in zip(weights, W, vols)]
-
-
 def _ratio(F, mats, fracs, p):
-    """Cell average over the pieces of |(corner block of F) @ W|^p, over |F|^p."""
-    return sum(frac * np.linalg.norm(F[:, :len(W)] @ W) ** p
+    """Cell average over the pieces of |F @ W|^p, over |F|^p; F is a corner block."""
+    return sum(frac * np.linalg.norm(F @ W) ** p
                for W, frac in zip(mats, fracs)) / np.linalg.norm(F) ** p
 
 
 def gradient_equivalence_ratio(deformation: Deformation, cell: int, p: float):
-    """(average |interpolant gradient|^p over the cell) / |discrete gradient|^p.
+    """(average |interpolant gradient|^p over the cell) / |F_c|^p, with F_c the
+    corner block of the discrete gradient: the interpolant reads only the
+    corner values, so the other stencil columns of a wide stencil take no part.
 
     The average is exact because the interpolant gradient is constant per
     piece; compare it against the interval of ``certified_ratio_bounds``.
     """
-    F = discrete_gradient(deformation, cell)
+    F = discrete_gradient(deformation, cell)[:, :deformation.grid.spec.n_corners]
     if np.linalg.norm(F) <= 1e-14:
-        raise ValueError("ratio undefined: zero discrete gradient")
+        raise ValueError("ratio undefined: zero discrete gradient on the corners")
     return _ratio(F, *_piece_maps(deformation.grid.spec), p)
 
 

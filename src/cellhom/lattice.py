@@ -28,7 +28,6 @@ __all__ = [
     "CellGrid",
     "build_lattice",
     "build_grid",
-    "cell_sites",
     "square_lattice",
     "integer_box",
     "flat_index",
@@ -260,21 +259,3 @@ def build_grid(spec: LatticeSpec, N: int) -> CellGrid:
         free_mask=free_mask,
         interior_cell_sites=interior_cell_sites,
     )
-
-
-def cell_sites(grid: CellGrid, cell: int) -> np.ndarray:
-    """Site indices of one cell's stencil columns, corner block first.
-
-    Corner k of the returned list sits at (cell center) + corners[:, k]
-    exactly.  For boundary cells of wide-stencil models some stencil sites
-    may fall outside the grid, in which case an error is raised; the
-    energy never evaluates those cells.
-    """
-    cell = int(cell)
-    if cell < 0 or cell >= grid.n_cells:
-        raise ValueError(f"cell index out of range: {cell}")
-    k = grid.cell_multi[cell]
-    idx = k[None, :] + grid.spec.offsets_int
-    if idx.min() < 0 or idx.max() > grid.N:
-        raise ValueError(f"stencil site out of range for boundary cell {cell}")
-    return flat_index(idx, grid.N + 1)

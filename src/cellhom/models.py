@@ -73,21 +73,19 @@ class EnergyModel:
         spec: the LatticeSpec the model is defined on.
         n_cols: stencil width (2^d for unit-cell models).
         m: internal-atom count.
-        p: bulk growth exponent (energy scales like |F|^p).
         growth: optional (c, c_prime, c_dblprime) with
-            c*|F|^p - c_prime <= W(F, argmin s) <= c_dblprime*(|F|^p + |s|^2 + 1);
-            None when no such constants are claimed (e.g. attractive pair
-            potentials, which are not coercive).
+            c*|F|^2 - c_prime <= W(F, argmin s) <= c_dblprime*(|F|^2 + |s|^2 + 1),
+            i.e. growth exponent 2; None when no such constants are claimed
+            (e.g. attractive pair potentials, which are not coercive).
         nonnegative: True when W >= 0 everywhere.
         frame_indifferent: True when W(RF, Rs) = W(F, s) for rotations R.
     """
 
-    def __init__(self, name, spec, m=0, p=2, growth=None,
+    def __init__(self, name, spec, m=0, growth=None,
                  nonnegative=False, frame_indifferent=False):
         self.name = name
         self.spec = spec
         self.m = m
-        self.p = p
         self.growth = growth
         self.nonnegative = nonnegative
         self.frame_indifferent = frame_indifferent
@@ -314,7 +312,7 @@ def pair_potential_model(spec: LatticeSpec, potential: PairPotential,
     # 2 * radius - |off_i - off_j| (both off - c must lie in {-R..R+1}).
     count = np.prod(2 * model_spec.radius - np.abs(off[i] - off[j]), axis=1)
     model = _BondModel("pair", model_spec, potential, np.stack([i, j], axis=1), 1.0 / count, r,
-                       p=2, nonnegative=potential.nonnegative, frame_indifferent=True)
+                       nonnegative=potential.nonnegative, frame_indifferent=True)
     model.cutoff = float(cutoff)
     return model
 
@@ -377,8 +375,7 @@ def frobenius_squared_density() -> MatrixDensity:
 class QuasiconvexWrapperModel(EnergyModel):
     def __init__(self, spec, density):
         super().__init__(
-            "quasiconvex-wrapper", spec, p=density.p,
-            nonnegative=density.nonnegative,
+            "quasiconvex-wrapper", spec, nonnegative=density.nonnegative,
             frame_indifferent=density.objective,
         )
         self.density = density
@@ -545,7 +542,7 @@ class QuadraticFormModel(EnergyModel):
     def __init__(self, spec, Q, kappa, delta):
         qmax = float(np.max(np.abs(np.linalg.eigvalsh(Q.H))))
         super().__init__(
-            "quadratic-form", spec, p=2,
+            "quadratic-form", spec,
             growth=(min(0.5, 0.05 * kappa),
                     4.0 * (spec.det_abs * qmax * spec.d + kappa + 1.0),
                     8.0 * (spec.det_abs * qmax + kappa + 1.0)),
@@ -651,7 +648,7 @@ class MultilatticeHarmonicModel(_BondModel):
         edges = _cell_edges(spec.d)
         super().__init__(
             "multilattice-harmonic", spec, harmonic_pair(k, 1.0), edges, np.ones(len(edges)), 1.0,
-            m=1, p=2, growth=(0.25 * k, 4.0 * k * (1.0 + r0**2), 8.0 * k * (1.0 + r0**2)),
+            m=1, growth=(0.25 * k, 4.0 * k * (1.0 + r0**2), 8.0 * k * (1.0 + r0**2)),
             nonnegative=True, frame_indifferent=True,
         )
         self.arms = harmonic_pair(k, r0)

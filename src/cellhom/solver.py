@@ -69,7 +69,6 @@ class SolveOptions:
     n_random_starts: int = 8
     perturb_amp: float = 0.1        # lattice units
     seed: int = 0
-    use_buckling_starts: bool = True
 
     def __post_init__(self):
         if self.grad_tol <= 0:
@@ -506,7 +505,7 @@ def start_fields(problem: Problem, opts: SolveOptions):
     affine = affine_deformation(problem.grid, problem.M)
     starts.append(("affine", affine, None))
 
-    if problem.d == 2 and opts.use_buckling_starts:
+    if problem.d == 2:
         buck = buckling_start(problem.grid, problem.M)
         if not np.array_equal(buck.y, affine.y):
             starts.append(("buckling", buck, None))

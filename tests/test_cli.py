@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -39,7 +40,7 @@ def test_parse_minimal_defaults(tmp_path):
     }))
     config = parse_config(path)
     assert config.schedule == [8, 16, 32, 64]
-    assert config.seed == 0
+    assert config.solver.seed == 0
     assert config.solver.n_random_starts == 8
     assert config.model.name == "harmonic"
 
@@ -76,6 +77,30 @@ def test_parse_unknown_keys_rejected(tmp_path):
     path = write_config(tmp_path, extra_field=1)
     with pytest.raises(ValueError, match="unknown keys"):
         parse_config(path)
+    # nothing reads a top-level output directory: --out sets it
+    path = write_config(tmp_path, output="out/")
+    with pytest.raises(ValueError, match="unknown keys in config"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("solver", [{"seed": 5}, {"use_buckling_starts": False}])
+def test_parse_solver_seed_and_buckling_keys_rejected(tmp_path, solver):
+    # the one seed is the top-level key or CELLHOM_SEED; a solver-block seed
+    # used to override CELLHOM_SEED, and nothing reads use_buckling_starts
+    path = write_config(tmp_path, solver=solver)
+    with pytest.raises(ValueError, match="unknown keys in solver block"):
+        parse_config(path)
+
+
+def test_readme_config_schema_matches_parser():
+    from cellhom import cli
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    schema = json.loads(re.sub(r"//.*", "", block))
+    assert set(schema) == cli._TOP_KEYS
+    assert set(schema["lattice"]) == cli._LATTICE_KEYS
+    assert set(schema["model"]) == cli._MODEL_KEYS
+    assert set(schema["solver"]) == cli._SOLVER_KEYS
 
 
 def test_parse_stencil_key_rejected(tmp_path):
@@ -113,7 +138,6 @@ def test_seed_env_override(tmp_path, monkeypatch):
     path = write_config(tmp_path, seed=3)
     monkeypatch.setenv("CELLHOM_SEED", "17")
     config = parse_config(path)
-    assert config.seed == 17
     assert config.solver.seed == 17
 
 

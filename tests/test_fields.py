@@ -3,8 +3,9 @@ import pytest
 
 from cellhom import (affine_deformation, build_grid, certified_ratio_bounds,
                      discrete_gradient, gradient_equivalence_ratio,
-                     interpolate_cell)
-from cellhom.fields import Deformation
+                     lennard_jones, pair_potential_model, square_lattice)
+from cellhom.fields import Deformation, _cell_simplices, _piece_maps
+from cellhom.lattice import simplex_maps
 
 from conftest import rotation
 
@@ -12,6 +13,11 @@ from conftest import rotation
 @pytest.fixture
 def grid(square_spec):
     return build_grid(square_spec, 5)
+
+
+def corner_values(dfm, k):
+    """(2^d, d) corner values of the k-th interior cell."""
+    return dfm.y[dfm.grid.interior_cell_sites[k, :dfm.grid.spec.n_corners]]
 
 
 def test_affine_identity(grid):
@@ -50,9 +56,7 @@ def test_discrete_gradient_hand_oracle(grid, rng):
     dfm.y += rng.standard_normal(dfm.y.shape)
     cell = int(np.flatnonzero(grid.interior_mask)[4])
     F = discrete_gradient(dfm, cell)
-    from cellhom import cell_sites
-    sites = cell_sites(grid, cell)
-    vals = dfm.y[sites]
+    vals = dfm.y[grid.interior_cell_sites[4]]
     mean = vals.mean(axis=0)
     for j in range(4):
         assert np.allclose(F[:, j], vals[j] - mean, atol=1e-15)
@@ -68,44 +72,46 @@ def test_discrete_gradient_boundary_cell(grid):
 def test_interpolation_affine_reproduction(grid):
     M = np.array([[1.4, 0.2], [0.1, 0.7]])
     dfm = affine_deformation(grid, M)
-    pieces = interpolate_cell(dfm, int(np.flatnonzero(grid.interior_mask)[0]))
-    for pc in pieces:
-        assert np.allclose(pc.gradient, M, atol=1e-12)
+    vals = corner_values(dfm, 0)
+    for W in _piece_maps(grid.spec)[0]:
+        assert np.allclose(vals.T @ W, M, atol=1e-12)
 
 
-def test_interpolation_eight_triangles(grid, rng):
-    dfm = affine_deformation(grid, np.eye(2))
-    dfm.y += rng.standard_normal(dfm.y.shape)
-    pieces = interpolate_cell(dfm, int(np.flatnonzero(grid.interior_mask)[0]))
-    assert len(pieces) == 8
-    assert sum(pc.volume for pc in pieces) == pytest.approx(1.0, abs=1e-12)
+def test_interpolation_eight_triangles(square_spec):
+    W, vols = simplex_maps(_cell_simplices(2), square_spec.corners.T)
+    assert len(W) == len(vols) == 8
+    assert sum(vols) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_interpolation_reproduces_corner_values(grid, rng, square_spec):
-    from cellhom import cell_sites
     dfm = affine_deformation(grid, np.eye(2))
     dfm.y += rng.standard_normal(dfm.y.shape)
-    cell = int(np.flatnonzero(grid.interior_mask)[2])
-    pieces = interpolate_cell(dfm, cell)
-    sites = cell_sites(grid, cell)
+    sites = grid.interior_cell_sites[2]
+    weights = _cell_simplices(2)
+    vertices = weights @ square_spec.corners.T
+    values = weights @ corner_values(dfm, 2)
     corner_pos = square_spec.corners.T
     for j, s in enumerate(sites):
         hits = 0
-        for pc in pieces:
-            for v, val in zip(pc.vertices, pc.values):
+        for vs, vals in zip(vertices, values):
+            for v, val in zip(vs, vals):
                 if np.allclose(v, corner_pos[j], atol=1e-12):
                     assert np.allclose(val, dfm.y[s], atol=1e-12)
                     hits += 1
         assert hits > 0
 
 
-def test_interpolant_gradients_consistent_with_values(grid, rng):
+def test_interpolant_gradients_consistent_with_values(grid, rng, square_spec):
     dfm = affine_deformation(grid, np.eye(2))
     dfm.y += rng.standard_normal(dfm.y.shape)
-    for pc in interpolate_cell(dfm, int(np.flatnonzero(grid.interior_mask)[0])):
-        for v, val in zip(pc.vertices[1:], pc.values[1:]):
-            lhs = pc.gradient @ (v - pc.vertices[0])
-            assert np.allclose(lhs, val - pc.values[0], atol=1e-12)
+    weights = _cell_simplices(2)
+    corner_vals = corner_values(dfm, 0)
+    W, _ = simplex_maps(weights, square_spec.corners.T)
+    for wt, Wp in zip(weights, W):
+        vertices, values, gradient = wt @ square_spec.corners.T, wt @ corner_vals, corner_vals.T @ Wp
+        for v, val in zip(vertices[1:], values[1:]):
+            lhs = gradient @ (v - vertices[0])
+            assert np.allclose(lhs, val - values[0], atol=1e-12)
 
 
 def test_ratio_affine(grid):
@@ -180,12 +186,11 @@ def test_ratio_p2_identity_on_square(grid, rng):
 
 def test_ratio_p2_corner_bump_hand_value(grid):
     dfm = affine_deformation(grid, np.zeros((2, 2)))
-    from cellhom import cell_sites
     cell = int(np.flatnonzero(grid.interior_mask)[0])
-    sites = cell_sites(grid, cell)
+    sites = grid.interior_cell_sites[0]
     dfm.y[sites[0]] = np.array([1.0, 0.0])
-    pieces = interpolate_cell(dfm, cell)
-    avg = sum(pc.volume * np.linalg.norm(pc.gradient) ** 2 for pc in pieces)
+    vals = corner_values(dfm, 0)
+    avg = sum(frac * np.linalg.norm(vals.T @ W) ** 2 for W, frac in zip(*_piece_maps(grid.spec)))
     assert avg == pytest.approx(0.75, abs=1e-13)
     F = discrete_gradient(dfm, cell)
     assert np.linalg.norm(F) ** 2 == pytest.approx(0.75, abs=1e-13)
@@ -196,3 +201,24 @@ def test_certified_bounds_nontrivial_for_skewed_basis():
     hexagonal = build_lattice(2, np.array([[1.0, 0.5], [0.0, np.sqrt(3) / 2]]))
     lo, hi = certified_ratio_bounds(hexagonal, 2.0)
     assert lo < 0.99 < 1.01 < hi / 0.9  # genuinely two-sided sandwich
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_ratio_on_wide_stencil_uses_corner_block(p, rng):
+    # LJ at cutoff 2.5 has 16 stencil columns; the interpolant reads only the
+    # 4 corners, so the ratio divides by the corner block and stays inside
+    # the certified interval (which is [1, 1] at p = 2 on the square)
+    model = pair_potential_model(square_lattice(), lennard_jones(1.0, 2 ** (-1 / 6)), 2.5)
+    grid = build_grid(model.spec, 6)
+    assert model.spec.n_cols == 16
+    lo, hi = certified_ratio_bounds(model.spec, p)
+    dfm = affine_deformation(grid, np.eye(2))
+    dfm.y += rng.standard_normal(dfm.y.shape)
+    for cell in np.flatnonzero(grid.interior_mask):
+        assert lo <= gradient_equivalence_ratio(dfm, int(cell), p) <= hi
+    # a field constant on one cell's corners has no interpolant gradient
+    # there, whatever the other stencil columns hold
+    cell = int(np.flatnonzero(grid.interior_mask)[0])
+    dfm.y[grid.interior_cell_sites[0, :4]] = 0.5
+    with pytest.raises(ValueError, match="ratio undefined"):
+        gradient_equivalence_ratio(dfm, cell, p)

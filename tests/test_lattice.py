@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cellhom import build_grid, build_lattice, cell_sites
+from cellhom import build_grid, build_lattice
 
 
 def test_identity_basis_corners():
@@ -86,24 +86,17 @@ def test_interior_count_wide_stencil():
 def test_cell_sites_center_cell(square_spec):
     grid = build_grid(square_spec, 3)
     center = int(np.ravel_multi_index((1, 1), (3, 3)))
-    sites = cell_sites(grid, center)
+    assert list(np.flatnonzero(grid.interior_mask)) == [center]
+    sites = grid.interior_cell_sites[0]
     assert len(sites) == 4
     expect = [np.ravel_multi_index(ij, (4, 4)) for ij in [(1, 1), (2, 1), (1, 2), (2, 2)]]
     assert list(sites) == expect
 
 
-def test_cell_sites_corner_cell_pinned(square_spec):
-    grid = build_grid(square_spec, 3)
-    sites = cell_sites(grid, 0)
-    assert len(sites) == 4
-    assert not grid.free_mask[sites].any()
-
-
 def test_corner_order_matches_columns(square_spec):
     grid = build_grid(square_spec, 5)
-    for cell in np.flatnonzero(grid.interior_mask):
-        center = square_spec.A @ (grid.cell_multi[int(cell)] + 0.5)
-        sites = cell_sites(grid, int(cell))
+    for cell, sites in zip(np.flatnonzero(grid.interior_mask), grid.interior_cell_sites):
+        center = square_spec.A @ (grid.cell_multi[cell] + 0.5)
         for j, s in enumerate(sites):
             assert np.array_equal(grid.site_coords[s],
                                   center + square_spec.corners[:, j])
@@ -129,8 +122,3 @@ def test_grid_build_deterministic(square_spec):
     assert np.array_equal(a.free_mask, b.free_mask)
     assert np.array_equal(a.site_coords, b.site_coords)
 
-
-def test_out_of_range_cell(square_spec):
-    grid = build_grid(square_spec, 3)
-    with pytest.raises(ValueError, match="out of range"):
-        cell_sites(grid, 9)
