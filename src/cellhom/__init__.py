@@ -9,9 +9,8 @@ their Cauchy-relation residuals.
 from .elasticity import (CauchyReport, ElasticTensor, cauchy_residuals,
                          numeric_elastic_tensor, pair_elastic_tensor,
                          quadratic_model_hessian_check, voigt_matrix)
-from .fields import (Deformation, InternalField, affine_deformation,
-                     certified_ratio_bounds, discrete_gradient,
-                     gradient_equivalence_ratio)
+from .fields import (Deformation, affine_deformation, certified_ratio_bounds,
+                     discrete_gradient, gradient_equivalence_ratio)
 from .homogenize import (HomogenizationResult, cauchy_born_density,
                          cb_validity_scan, f_N, tiling_upper_bound_check,
                          w_cont_estimate)

@@ -29,7 +29,7 @@ from . import homogenize as hm
 from . import models as md
 from .elasticity import cauchy_residuals, numeric_elastic_tensor, voigt_matrix
 from .lattice import build_lattice
-from .solver import SolveOptions
+from .solver import SolveOptions, _integer
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
@@ -111,11 +111,11 @@ def parse_config(path) -> RunConfig:
 
     lat = _require(raw, "lattice", "config")
     _reject_unknown(lat, _LATTICE_KEYS, "lattice block")
-    d = int(_require(lat, "d", "lattice block"))
+    d = _integer(_require(lat, "d", "lattice block"), "lattice d")
     A_rows = _require(lat, "A", "lattice block")
     if len(A_rows) != d or any(len(row) != d for row in A_rows):
         raise ValueError(f"dimension mismatch: A must be {d}x{d}")
-    m = int(lat.get("m", 0))
+    m = _integer(lat.get("m", 0), "lattice m")
     spec = build_lattice(d, np.array(A_rows, dtype=float), m=m)
 
     mdl = _require(raw, "model", "config")
@@ -147,14 +147,14 @@ def parse_config(path) -> RunConfig:
         if len(s0_list) not in (1, len(M_list)):
             raise ValueError("s0 list must have length 1 or match the M list")
 
-    schedule = [int(N) for N in raw.get("schedule", _DEFAULT_SCHEDULES[d])]
+    schedule = [_integer(N, "schedule") for N in raw.get("schedule", _DEFAULT_SCHEDULES[d])]
     r = model.spec.radius
     if any(N <= 2 * r for N in schedule):
         raise ValueError(f"schedule invalid for stencil radius {r}: need N > {2 * r}")
 
     sol = dict(raw.get("solver", {}))
     _reject_unknown(sol, _SOLVER_KEYS, "solver block")
-    seed = int(os.environ.get("CELLHOM_SEED", raw.get("seed", 0)))
+    seed = int(os.environ["CELLHOM_SEED"]) if "CELLHOM_SEED" in os.environ else raw.get("seed", 0)
     solver = SolveOptions(**sol, seed=seed)
 
     return RunConfig(raw=raw, model=model, task=task,

@@ -22,7 +22,6 @@ from .lattice import CellGrid, LatticeSpec, simplex_maps
 
 __all__ = [
     "Deformation",
-    "InternalField",
     "affine_deformation",
     "discrete_gradient",
     "gradient_equivalence_ratio",
@@ -39,14 +38,6 @@ class Deformation:
 
     def copy(self) -> "Deformation":
         return Deformation(self.grid, self.y.copy())
-
-
-@dataclass
-class InternalField:
-    """Per-interior-cell internal shifts s (d x m each)."""
-
-    grid: CellGrid
-    s: np.ndarray  # (n_interior, d, m)
 
 
 def affine_deformation(grid: CellGrid, M) -> Deformation:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Deformation, InternalField
+from .fields import Deformation
 from .lattice import build_grid, flat_index, integer_box
 from .models import EnergyModel
 from .solver import Problem, SolveOptions, multi_start_minimize
@@ -178,7 +178,9 @@ def tiling_upper_bound_check(model: EnergyModel, M, n: int, k: int,
 
     The n-box minimizer is copied to every n-tile of the k-box with the
     matching affine offset, which is admissible for the k-box problem, so
-    its energy per cell dominates the directly solved value.  Returns
+    its energy per cell dominates the directly solved value.  Internal
+    shifts are copied too; with ``s0`` the k-box problem moves them all by
+    one uniform shift, s0 - mean, to meet the mean constraint.  Returns
     (f_k_solved, f_k_tiled), both energies divided by k^d.
     """
     opts = opts or SolveOptions()
@@ -206,7 +208,7 @@ def tiling_upper_bound_check(model: EnergyModel, M, n: int, k: int,
            + shifts[flat_index(t, reps)])
     tiled = Deformation(grid_k, y_k)
 
-    internal_k = None
+    s_k = None
     if model.m > 0:
         # interior cell c of the k-box copies cell c % n of the n-box when
         # that one is interior, and starts from s0 (or zero) otherwise
@@ -214,11 +216,10 @@ def tiling_upper_bound_check(model: EnergyModel, M, n: int, k: int,
         lookup[grid_n.interior_mask] = np.arange(grid_n.n_interior)
         pos = lookup[flat_index(grid_k.cell_multi[grid_k.interior_mask] % n, n)]
         s_base = np.zeros((d, model.m)) if s0 is None else np.asarray(s0, dtype=float)
-        s_k = np.where((pos >= 0)[:, None, None], res_n.internal.s[pos], s_base)
-        internal_k = InternalField(grid_k, s_k)
+        s_k = np.where((pos >= 0)[:, None, None], res_n.internal[pos], s_base)
 
     problem_k = Problem(grid_k, model, M, s0=s0)
-    x_tiled = problem_k.pack(tiled, internal_k)
+    x_tiled = problem_k.pack(tiled, s_k)
     e_tiled = problem_k.energy_only(x_tiled)
     res_k = multi_start_minimize(problem_k, opts)
     return res_k.energy / k**d, e_tiled / k**d

@@ -21,13 +21,15 @@ order follows the layout and the batch size: results depend on values alone.
 Bond models are one family: each holds a ``PairPotential`` and evaluates
 any batch over a bond table of its columns, phi = V_r(|b|) and phi' once
 per bond: column pairs i, j, weights w and reference lengths r.  Harmonic
-springs are the pair model of ``harmonic_pair(2k, r0)`` at cutoff 1, and
-the multilattice model's edges and arms are harmonic pairs too.  A model's
-own table holds one cell's bonds; ``_sample_bonds`` compiles a sample's
-interior cells into unique site pairs, so that the whole sample is one
-batch entry whose columns are its sites.  Gradients are exact except at
-the non-smooth points of bond lengths |b| = 0, where the zero element of
-the subdifferential is returned for the offending term.
+springs are the pair model of ``harmonic_pair(2k, r0)`` at cutoff 1.  The
+internal shifts S are the columns after the stencil's, so the multilattice
+model's one table holds the cell's edges and the arms from its corners to
+the internal atom.  A model's own table holds one cell's bonds;
+``_sample_bonds`` compiles a sample's interior cells into unique site
+pairs, so that the whole sample is one batch entry whose columns are its
+sites.  Gradients are exact except at the non-smooth points of bond
+lengths |b| = 0, where the zero element of the subdifferential is returned
+for the offending term.
 """
 
 from __future__ import annotations
@@ -156,9 +158,10 @@ class EnergyModel:
 
 class _BondModel(EnergyModel):
     """Energy as a weighted sum of V_r(|b|) = ``potential.value(r, |b|)``
-    over the bond vectors b = F[:, :, j] - F[:, :, i] of a bond table, r the
-    bond's reference length; ``table`` holds one cell's bonds.  Pair models
-    also carry their ``cutoff``.
+    over the bond vectors b = X[:, :, j] - X[:, :, i] of a bond table, r the
+    bond's reference length and X = [F | S], the shifts after the stencil
+    columns; ``table`` holds one cell's bonds.  Pair models also carry
+    their ``cutoff``.
     """
 
     def __init__(self, name, spec, potential, bonds, weights, rest, **meta):
@@ -184,11 +187,17 @@ class _BondModel(EnergyModel):
                            np.tile(rest, n)[first]))
 
     def _evaluate(self, F, S, grad, bonds=None):
+        if self.m and S is None:
+            raise ValueError("multilattice model needs an internal shift s")
         table = self.table if bonds is None else bonds
-        (I, J), w, rest = table.flat(F.shape), table[2][:, None], table[3][:, None]
-        flat = _rows(F).reshape(-1)         # copies only a batch in another layout
+        T = _rows(F) if S is None else np.concatenate((_rows(F), S.T))
+        (I, J), w, rest = table.flat(T.shape[::-1]), table[2][:, None], table[3][:, None]
+        flat = T.reshape(-1)                # copies only a batch in another layout
         b = flat.take(J)                    # (d, n_bonds, B) bond vectors
         b -= flat.take(I)
+        # drop a batch copy first: a lower heap peak is not trimmed and re-faulted
+        shape, size = T.shape, T.size
+        del T, flat
         L = np.sqrt(np.einsum("akb,akb->kb", b, b))
         # one dot per cell: a cell's energy does not depend on its batch
         E = (np.ascontiguousarray(self.potential.value(rest, L).T)[:, None, :] @ w)[:, 0, 0]
@@ -200,9 +209,10 @@ class _BondModel(EnergyModel):
         else:                               # the zero subgradient at |b| = 0
             coef = np.where(L > _ZERO_BOND, coef / np.where(L > _ZERO_BOND, L, 1.0), 0.0)
         b *= coef                           # dE/dF[:, :, j] of each bond
-        gF = np.bincount(J.ravel(), b.ravel(), minlength=F.size)
-        gF -= np.bincount(I.ravel(), b.ravel(), minlength=F.size)
-        return E, (gF.reshape(F.shape[::-1]).transpose(2, 1, 0), None)
+        gT = np.bincount(J.ravel(), b.ravel(), minlength=size)
+        gT -= np.bincount(I.ravel(), b.ravel(), minlength=size)
+        G, n = gT.reshape(shape).transpose(2, 1, 0), F.shape[2]
+        return E, (G[:, :, :n], None if S is None else G[:, :, n:])
 
 
 class _BondTable(tuple):
@@ -427,6 +437,8 @@ def quasiconvex_wrapper_model(spec: LatticeSpec, density: MatrixDensity) -> Ener
     """
     if spec.n_cols != spec.n_corners:
         raise ValueError("quasiconvex wrapper requires a unit-cell stencil")
+    if spec.m != 0:
+        raise ValueError("quasiconvex wrapper is defined on Bravais lattices")
     return QuasiconvexWrapperModel(spec, density)
 
 
@@ -627,6 +639,8 @@ def quadratic_form_model(spec: LatticeSpec, Q: QuadraticForm,
     """
     if spec.d != 2 or spec.n_cols != spec.n_corners:
         raise ValueError("quadratic form model requires a 2D unit-cell stencil")
+    if spec.m != 0:
+        raise ValueError("quadratic form model is defined on Bravais lattices")
     if Q.d != spec.d:
         raise ValueError("dimension mismatch between Q and the lattice")
     check_quadratic_form(Q)
@@ -640,41 +654,14 @@ def quadratic_form_model(spec: LatticeSpec, Q: QuadraticForm,
 # ---------------------------------------------------------------------------
 
 
-class MultilatticeHarmonicModel(_BondModel):
-    """Square cell with one internal atom tethered to the four corners: the
-    unit edges are ``harmonic_pair(k, 1)`` bonds, the arms ``harmonic_pair(k, r0)``."""
-
-    def __init__(self, spec, k, r0):
-        edges = _cell_edges(spec.d)
-        super().__init__(
-            "multilattice-harmonic", spec, harmonic_pair(k, 1.0), edges, np.ones(len(edges)), 1.0,
-            m=1, growth=(0.25 * k, 4.0 * k * (1.0 + r0**2), 8.0 * k * (1.0 + r0**2)),
-            nonnegative=True, frame_indifferent=True,
-        )
-        self.arms = harmonic_pair(k, r0)
-
-    def _evaluate(self, F, S, grad, bonds=None):
-        if S is None:
-            raise ValueError("multilattice model needs an internal shift s")
-        arm = _rows(F) - S[:, :, 0].T     # (4, d, B): corner minus internal atom
-        La = np.sqrt(reduce(np.add, np.square(arm).transpose(1, 0, 2)))
-        e_arm = reduce(np.add, self.arms.value(None, La))
-        if not grad:
-            return super()._evaluate(F, S, False) + e_arm
-        e, (gF, _) = super()._evaluate(F, S, True)
-        safe = np.where(La > _ZERO_BOND, La, 1.0)
-        coef = np.where(La > _ZERO_BOND, self.arms.deriv(None, La) / safe, 0.0)
-        ga = coef[:, None, :] * arm   # (4, d, B) w.r.t. the corner columns
-        np.add(gF, ga.transpose(2, 1, 0), out=gF)
-        return e + e_arm, (gF, -reduce(np.add, ga).T[:, :, None])
-
-
 def multilattice_harmonic_model(spec: LatticeSpec, k: float, r0: float) -> EnergyModel:
     """One internal atom per square cell, harmonically tethered.
 
-    The energy adds four center-to-corner springs of rest length r0 = |z_1|
-    (the corner distance) to the plain corner-edge springs; s is the offset
-    of the internal atom from the deformed cell mean.
+    A bond model over the columns [corners | s]: the four unit edges and the
+    four arms from each corner to the internal atom, every bond carrying
+    (k/2)(|b| - r)^2 with rest length r = 1 on the edges and r0 = |z_1| (the
+    corner distance) on the arms; s is the offset of the internal atom from
+    the deformed cell mean.
     """
     if spec.m != 1:
         raise ValueError("unsupported internal count: model needs m = 1")
@@ -685,4 +672,11 @@ def multilattice_harmonic_model(spec: LatticeSpec, k: float, r0: float) -> Energ
     z1 = np.linalg.norm(spec.corners[:, 0])
     if abs(r0 - z1) > 1e-9:
         raise ValueError(f"rest length must equal the corner distance {z1}")
-    return MultilatticeHarmonicModel(spec, float(k), float(r0))
+    k, r0 = float(k), float(r0)
+    spring = PairPotential(lambda r, rho: 0.5 * k * (rho - r) ** 2, lambda r, rho: k * (rho - r),
+                           lambda r, rho: k * np.ones_like(rho), name="harmonic-pair",
+                           nonnegative=True)
+    bonds = np.concatenate((_cell_edges(2), [(j, 4) for j in range(4)]))
+    return _BondModel("multilattice-harmonic", spec, spring, bonds, np.ones(8),
+                      [1.0] * 4 + [r0] * 4, m=1, nonnegative=True, frame_indifferent=True,
+                      growth=(0.25 * k, 4.0 * k * (1.0 + r0**2), 8.0 * k * (1.0 + r0**2)))

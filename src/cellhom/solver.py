@@ -1,10 +1,10 @@
 """Minimization of the total interior-cell energy under affine pinning.
 
 The free variables are the positions of sites not touching any boundary
-cell, plus (for multilattice models) the per-cell internal shifts.  When a
-mean value is prescribed for the internal shifts, the deviations from it
-are parametrized on the mean-zero subspace (differences against the last
-interior cell), so the constraint holds identically along all iterates.
+cell, plus (for multilattice models) the internal shifts of every interior
+cell.  When a mean value s0 is prescribed for the shifts, they enter the
+energy projected onto it, s - mean(s) + s0, so the constraint holds
+identically along all iterates and the gradient is the projected one.
 The pinned sites carry the affine datum y = M x.  Energies and gradients
 come from ``Problem._evaluate``.  A pair-bond model sees the whole sample
 as one batch entry, over its interior cells' bonds compiled once into
@@ -18,14 +18,13 @@ floats plus four matrix-vector products.  Its initial inverse Hessian is
 H0 = gamma P^-1, with P^-1 from ``Problem.precondition``.  On the cell route
 P is the Dirichlet graph Laplacian of the free sites, per coordinate, which
 makes the iteration count independent of N (Packwood et al., J. Chem.
-Phys. 144 (2016) 164109); on mean-constrained internal shifts it is
-I + 11^T, the rank-one coupling that the constraint puts on them.  On the
-bond route P is the identity: springs without transverse stiffness at rest
-length, or indefinite under compression, have Hessians that the Laplacian
-does not bound.  The first step is steepest descent.  The line search
-tries the unit step first.  A step whose energy rises above the rounding
-floor of the current energy, 1e-12 (1 + |E|), is halved on energies
-alone until the Armijo test (constant 1e-4) holds.  A step that fails the
+Phys. 144 (2016) 164109); on the internal shifts it is the identity.  On
+the bond route P is the identity: springs without transverse stiffness at
+rest length, or indefinite under compression, have Hessians that the
+Laplacian does not bound.  The first step is steepest descent.  The line
+search tries the unit step first.  A step whose energy rises above the
+rounding floor of the current energy, 1e-12 (1 + |E|), is halved on
+energies alone until the Armijo test (constant 1e-4) holds.  A step that fails the
 Armijo test but stays within that floor cannot be ranked by energy any
 more; it is bracketed and bisected on the directional derivative instead,
 until the approximate Wolfe conditions of Hager & Zhang (SIAM J. Optim.
@@ -41,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Deformation, InternalField, affine_deformation
+from .fields import Deformation, affine_deformation
 from .lattice import CellGrid
 from .models import EnergyModel
 
@@ -71,23 +70,32 @@ class SolveOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        for name in ("max_iter", "history", "n_random_starts", "seed"):
+            _integer(getattr(self, name), name)
+        if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError("grad_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.history < 0:
             raise ValueError("history must be nonnegative")
         if self.n_random_starts < 0:
             raise ValueError("n_random_starts must be nonnegative")
-        if self.perturb_amp < 0:
-            raise ValueError("perturb_amp must be nonnegative")
+        if not (np.isfinite(self.perturb_amp) and self.perturb_amp >= 0):
+            raise ValueError("perturb_amp must be nonnegative and finite")
+
+
+def _integer(value, name):
+    """``value`` itself when it is an integer (a bool is not), else ValueError."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass
 class SolveResult:
     energy: float
     argmin: Deformation
-    internal: InternalField | None
+    internal: np.ndarray | None     # (C, d, m) internal shifts
     iterations: int
     converged: bool
     grad_norm: float
@@ -143,58 +151,44 @@ class Problem:
             self._inv_eig = (1.0 / eig).reshape(side ** (self.d - 1), side, 1)
 
         self.m = model.m
-        if self.m > 0:
-            self.s0 = None if s0 is None else np.asarray(s0, dtype=float).reshape(self.d, self.m)
-            if self.s0 is not None:
-                self.n_internal = (self.n_cells - 1) * self.d * self.m
-            else:
-                self.n_internal = self.n_cells * self.d * self.m
-        else:
-            if s0 is not None:
-                raise ValueError("internal variables undefined for Bravais model")
-            self.s0 = None
-            self.n_internal = 0
+        if self.m == 0 and s0 is not None:
+            raise ValueError("internal variables undefined for Bravais model")
+        self.s0 = None if s0 is None else np.asarray(s0, dtype=float).reshape(self.d, self.m)
+        self.n_internal = self.n_cells * self.d * self.m
         self.n_vars = self.n_free * self.d + self.n_internal
 
     # -- variable packing ---------------------------------------------------
 
-    def pack(self, deformation: Deformation, internal: InternalField | None = None):
-        x = np.empty(self.n_vars)
+    def pack(self, deformation: Deformation, internal=None):
+        """The variables of a deformation and of (C, d, m) internal shifts,
+        which x holds batch-last, as (m, d, C); no shifts stand for zeros,
+        which ``unpack`` maps to s0 when it is set."""
+        x = np.zeros(self.n_vars)
         x[: self.n_free * self.d] = deformation.y[self.free_idx].ravel()
-        if self.m > 0:
-            s = np.zeros((self.n_cells, self.d, self.m)) if internal is None else internal.s
-            if self.s0 is not None:
-                dev = s - self.s0[None]
-                x[self.n_free * self.d:] = dev[:-1].ravel()
-            else:
-                x[self.n_free * self.d:] = s.ravel()
+        if internal is not None:
+            x[self.n_free * self.d:] = np.ravel(np.transpose(internal))
         return x
 
     def unpack(self, x):
+        """(y, s): the site positions and the (C, d, m) internal shifts, None
+        for a Bravais model; with s0 the shifts are s - mean(s) + s0."""
         y = self._template.copy()
         np.put(y, self._free_flat, x[: self.n_free * self.d])
         s = None
         if self.m > 0:
+            s = x[self.n_free * self.d:].reshape(self.m * self.d, self.n_cells)
             if self.s0 is not None:
-                dev = np.zeros((self.n_cells, self.d, self.m))
-                dev[:-1] = x[self.n_free * self.d:].reshape(self.n_cells - 1, self.d, self.m)
-                dev[-1] = -dev[:-1].sum(axis=0)
-                s = self.s0[None] + dev
-            else:
-                s = x[self.n_free * self.d:].reshape(self.n_cells, self.d, self.m)
+                s = s - s.mean(axis=1, keepdims=True) + self.s0.T.reshape(-1, 1)
+            s = s.reshape(self.m, self.d, self.n_cells).T
         return y, s
 
     def deformation(self, x) -> Deformation:
-        y, _ = self.unpack(x)
-        return Deformation(self.grid, y)
+        return Deformation(self.grid, self.unpack(x)[0])
 
-    def internal_field(self, x) -> InternalField | None:
-        if self.m == 0:
-            return None
-        _, s = self.unpack(x)
-        return InternalField(self.grid, s)
+    def internal_field(self, x):
+        return self.unpack(x)[1]
 
-    def start_vector(self, deformation: Deformation, internal: InternalField | None = None):
+    def start_vector(self, deformation: Deformation, internal=None):
         pinned = ~self.grid.free_mask
         if not np.array_equal(deformation.y[pinned], self._template[pinned]):
             raise ValueError("start does not satisfy the boundary pinning")
@@ -236,36 +230,29 @@ class Problem:
             raise DivergedEvaluation("diverged evaluation")
         g = np.empty(self.n_vars)
         g[: self.n_free * self.d] = g_sites.take(self._free_flat)
-        if self.m > 0:
+        if self.m > 0:      # batch-last; with s0, the gradient through the projection
+            gS = gS.T.reshape(self.m * self.d, self.n_cells)
             if self.s0 is not None:
-                g[self.n_free * self.d:] = (gS[:-1] - gS[-1][None]).ravel()
-            else:
-                g[self.n_free * self.d:] = gS.ravel()
+                gS = gS - gS.mean(axis=1, keepdims=True)
+            g[self.n_free * self.d:] = gS.ravel()
         return E, g
 
     def precondition(self, v):
         """P^-1 v for the quasi-Newton initial Hessian.  On the cell route P
-        is the Dirichlet graph Laplacian of the free sites, per coordinate.
-        On the internal shifts it is the identity, or with ``s0`` I + 11^T
-        per (d, m) component over the C - 1 free deviations: the last cell
-        carries minus their sum, so that is the shape of their Hessian.  Its
-        inverse is v - (sum v) / C (Sherman-Morrison).  On the bond route,
-        or with nothing to scale, P is the identity and ``v`` itself is
-        returned."""
-        if self.bonds is not None or (self.n_free == 0 and self.s0 is None):
+        is the Dirichlet graph Laplacian of the free sites, per coordinate,
+        and the identity on the internal shifts, whose block of ``v`` is
+        returned unchanged.  On the bond route, or with no free site, P is
+        the identity and ``v`` itself is returned."""
+        if self.bonds is not None or self.n_free == 0:
             return v
         n, side, S = self.n_free * self.d, self._sine.shape[0], self._sine
-        w, shifts = v[:n], v[n:]
-        if self.n_free:
-            for a in range(self.d):             # to the sine basis, one site axis at a time
-                w = S @ w.reshape(side ** a, side, -1)
-            w = w * self._inv_eig
-            for a in range(self.d):             # and back: S is its own inverse
-                w = S @ w.reshape(side ** a, side, -1)
-        if self.s0 is not None:
-            shifts = shifts.reshape(self.n_cells - 1, self.d * self.m)
-            shifts = shifts - shifts.sum(axis=0) / self.n_cells
-        return np.concatenate((w.ravel(), shifts.ravel()))
+        w = v[:n]
+        for a in range(self.d):                 # to the sine basis, one site axis at a time
+            w = S @ w.reshape(side ** a, side, -1)
+        w = w * self._inv_eig
+        for a in range(self.d):                 # and back: S is its own inverse
+            w = S @ w.reshape(side ** a, side, -1)
+        return np.concatenate((w.ravel(), v[n:]))
 
     def energy_only(self, x) -> float:
         return self._evaluate(x, False)
@@ -393,8 +380,7 @@ class _History:
         return q + np.array(c) @ S
 
 
-def minimize(problem: Problem, opts: SolveOptions, start: Deformation,
-             internal_start: InternalField | None = None,
+def minimize(problem: Problem, opts: SolveOptions, start: Deformation, internal_start=None,
              start_label: str = "custom") -> SolveResult:
     """Limited-memory quasi-Newton descent from one start.
 
@@ -497,9 +483,11 @@ def _min_bond_length(problem: Problem, x) -> float:
 
 def start_fields(problem: Problem, opts: SolveOptions):
     """The starts of ``multi_start_minimize``, in order, as (label, deformation,
-    internal field): affine, buckling (2D, when it differs from affine) and
-    ``opts.n_random_starts`` random perturbations of the affine field.  A
-    start with a collapsed bond is jittered by 1e-6 so its gradient exists.
+    internal shifts): affine, buckling (2D, when it differs from affine) and
+    ``opts.n_random_starts`` random perturbations of the affine field.  The
+    shifts are None, which starts them at s0 or zero, except on random starts
+    without s0.  A start with a collapsed bond is jittered by 1e-6 so its
+    gradient exists.
     """
     starts = []
     affine = affine_deformation(problem.grid, problem.M)
@@ -510,26 +498,16 @@ def start_fields(problem: Problem, opts: SolveOptions):
         if not np.array_equal(buck.y, affine.y):
             starts.append(("buckling", buck, None))
 
-    base_internal = None
-    if problem.m > 0:
-        s_base = np.tile(
-            (problem.s0 if problem.s0 is not None else np.zeros((problem.d, problem.m)))[None],
-            (problem.n_cells, 1, 1),
-        )
-        base_internal = InternalField(problem.grid, s_base)
-        starts = [(lbl, dfm, base_internal) for (lbl, dfm, _) in starts]
-
     for k in range(opts.n_random_starts):
         rng = _rng_for_start(opts.seed, k)
         dfm = affine.copy()
         noise = rng.uniform(-opts.perturb_amp, opts.perturb_amp,
                             size=(problem.n_free, problem.d))
         dfm.y[problem.free_idx] += noise
-        internal = base_internal
+        internal = None
         if problem.m > 0 and problem.s0 is None:
-            s = rng.uniform(-opts.perturb_amp, opts.perturb_amp,
-                            size=(problem.n_cells, problem.d, problem.m))
-            internal = InternalField(problem.grid, s)
+            internal = rng.uniform(-opts.perturb_amp, opts.perturb_amp,
+                                   size=(problem.n_cells, problem.d, problem.m))
         starts.append((f"random-{k}", dfm, internal))
 
     for idx, (label, dfm, internal) in enumerate(starts):

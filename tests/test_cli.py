@@ -121,6 +121,31 @@ def test_parse_unknown_model_params_rejected(tmp_path):
             parse_config(path)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"seed": 3.7}, {"seed": True}, {"schedule": [8, 12.5, 16]},
+    {"lattice": {"d": 2.5, "A": [[1.0, 0.0], [0.0, 1.0]]}},
+    {"lattice": {"d": 2, "A": [[1.0, 0.0], [0.0, 1.0]], "m": 1.5},
+     "model": {"name": "multilattice_harmonic"}},
+    {"solver": {"max_iter": 10.5}}, {"solver": {"history": True}},
+    {"solver": {"grad_tol": float("nan")}},
+], ids=["seed-float", "seed-bool", "schedule", "d", "m", "max_iter", "history", "grad_tol"])
+def test_parse_non_integer_or_non_finite_rejected(tmp_path, monkeypatch, overrides):
+    # each used to be truncated to an integer or passed on without a word
+    monkeypatch.delenv("CELLHOM_SEED", raising=False)
+    path = write_config(tmp_path, **overrides)
+    with pytest.raises(ValueError, match="integer|finite"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("name", ["quadratic_form", "quasiconvex_frobenius"])
+def test_parse_bravais_model_rejects_internal_atoms(tmp_path, name):
+    # the lattice's m used to be dropped: spec.m = 1 under a model with m = 0
+    path = write_config(tmp_path, lattice={"d": 2, "A": [[1.0, 0.0], [0.0, 1.0]], "m": 1},
+                        model={"name": name})
+    with pytest.raises(ValueError, match="Bravais lattices"):
+        parse_config(path)
+
+
 def test_parse_missing_field(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"model": {"name": "harmonic"}, "task": "homogenize"}))

@@ -525,6 +525,41 @@ def test_multilattice_needs_internal_spec(square_spec):
         multilattice_harmonic_model(square_spec, 1.0, np.sqrt(0.5))
 
 
+def test_multilattice_needs_a_shift(multilattice):
+    F = multilattice.spec.corners
+    with pytest.raises(ValueError, match="multilattice model needs an internal shift s"):
+        multilattice.energy(F)
+    for grad in (False, True):
+        with pytest.raises(ValueError, match="multilattice model needs an internal shift s"):
+            multilattice._cells(F[None], None, grad)
+
+
+def test_multilattice_edges_and_arms_oracle(rng):
+    # brute force: every corner pair one bit apart is a unit edge, every
+    # corner an arm of rest length r0 to the atom at s from the corner mean
+    k, r0 = 0.7, np.sqrt(0.5)
+    model = multilattice_harmonic_model(square_lattice(m=1), k, r0)
+    for _ in range(5):
+        F = np.array([[1.3, 0.1], [-0.2, 0.8]]) @ model.spec.corners
+        F = F + 0.1 * rng.standard_normal(F.shape) + rng.standard_normal((2, 1))
+        s = 0.2 * rng.standard_normal((2, 1))
+        atom = F.mean(axis=1) + s[:, 0]
+        expected = sum(0.5 * k * (np.linalg.norm(F[:, j] - F[:, i]) - 1.0) ** 2
+                       for i in range(4) for j in range(i + 1, 4) if bin(i ^ j).count("1") == 1)
+        expected += sum(0.5 * k * (np.linalg.norm(atom - F[:, j]) - r0) ** 2 for j in range(4))
+        assert abs(model.energy(F, s) - expected) <= 1e-12 * max(1.0, expected)
+
+
+@pytest.mark.parametrize("build", [
+    lambda spec: quadratic_form_model(spec, QuadraticForm.from_moduli(1.0, 0.5)),
+    lambda spec: quasiconvex_wrapper_model(spec, frobenius_squared_density()),
+], ids=["quadratic_form", "quasiconvex"])
+def test_bravais_models_reject_internal_atoms(build):
+    # the spec's m used to be dropped: model.m = 0 on a spec with m = 1
+    with pytest.raises(ValueError, match="Bravais lattices"):
+        build(square_lattice(m=1))
+
+
 # ---------------------------------------------------------------------------
 # single-cell energy and gradient
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from cellhom import (Problem, SolveOptions, affine_deformation, buckling_start,
                      minimize, multi_start_minimize, pair_potential_model,
                      square_lattice)
 from cellhom import solver
-from cellhom.fields import Deformation, InternalField
+from cellhom.fields import Deformation
 from cellhom.solver import DivergedEvaluation, start_fields
 
 from conftest import rotation
@@ -50,7 +50,7 @@ def test_free_dof_count(grid5, harmonic):
 def test_internal_dof_counts(multilattice):
     grid = build_grid(multilattice.spec, 5)
     constrained = Problem(grid, multilattice, np.eye(2), s0=np.zeros((2, 1)))
-    assert constrained.n_internal == 2 * (9 - 1)
+    assert constrained.n_internal == 2 * 9
     free = Problem(grid, multilattice, np.eye(2))
     assert free.n_internal == 2 * 9
 
@@ -88,7 +88,7 @@ def test_gradient_matches_fd_multilattice(multilattice, rng):
     grid = build_grid(multilattice.spec, 5)
     problem = Problem(grid, multilattice, np.diag([1.05, 1.0]), s0=np.array([[0.05], [0.0]]))
     x0 = problem.pack(affine_deformation(grid, np.diag([1.05, 1.0])),
-                      InternalField(grid, np.tile(np.array([[0.05], [0.0]])[None], (9, 1, 1))))
+                      np.tile(np.array([[0.05], [0.0]])[None], (9, 1, 1)))
     x = x0 + 0.1 * rng.standard_normal(x0.shape)
     E, g = problem.value_and_grad(x)
     h = 1e-6
@@ -407,7 +407,7 @@ def test_internal_mean_constraint_held(multilattice, rng):
         _, s = problem.unpack(x)
         assert np.abs(s.mean(axis=0) - s0).max() < 1e-12
     res = multi_start_minimize(problem, SolveOptions(n_random_starts=1))
-    assert np.abs(res.internal.s.mean(axis=0) - s0).max() < 1e-12
+    assert np.abs(res.internal.mean(axis=0) - s0).max() < 1e-12
 
 
 def test_rotation_boundary_reaches_floor(square_spec, harmonic):
@@ -554,6 +554,13 @@ def test_options_validation():
     with pytest.raises(ValueError, match="n_random_starts"):
         SolveOptions(n_random_starts=-2)
     SolveOptions(history=0, n_random_starts=0)   # steepest descent, affine start only
+    # non-integer counts used to fail only inside the solve, or never
+    for bad in ({"history": 2.5}, {"n_random_starts": 1.5}, {"max_iter": 10.5},
+                {"history": True}, {"seed": 3.7}, {"grad_tol": np.nan},
+                {"perturb_amp": np.nan}, {"grad_tol": np.inf}):
+        with pytest.raises(ValueError, match="integer|finite"):
+            SolveOptions(**bad)
+    SolveOptions(max_iter=np.int64(10), seed=np.uint64(2**63))   # numpy integers are integers
 
 
 def textbook_direction(pairs, g, precondition=lambda v: v):
@@ -674,34 +681,42 @@ def test_cell_route_preconditioner_inverts_dirichlet_laplacian(case, N, square_s
 
 
 @pytest.mark.parametrize("N", [7, 3])
-def test_preconditioner_inverts_shift_coupling_with_s0(N, multilattice):
-    # with a prescribed mean the last cell's shift is minus the sum of the
-    # others, so P is I + 11^T on each (d, m) component of the C - 1 free
-    # deviations; the site block is still the Dirichlet Laplacian
-    problem = Problem(build_grid(multilattice.spec, N), multilattice,
-                      np.array([[1.05, 0.02], [0.0, 0.97]]), s0=[[0.02], [0.01]])
+def test_shift_gradient_is_projected_with_s0(N, multilattice, rng):
+    # with a prescribed mean the shifts enter as s - mean(s) + s0, so the
+    # shift block of the gradient sums to zero per (d, m) component, and P
+    # leaves that block alone; the site block is still the Dirichlet
+    # Laplacian, and N = 3 leaves no free site
+    M, s0 = np.array([[1.05, 0.02], [0.0, 0.97]]), np.array([[0.02], [0.01]])
+    problem = Problem(build_grid(multilattice.spec, N), multilattice, M, s0=s0)
     n = problem.n_free * problem.d
+    affine = affine_deformation(problem.grid, M)
+    x = problem.pack(affine)
+    g = problem.value_and_grad(x + 0.1 * rng.standard_normal(x.shape))[1]
+    shape = (problem.n_cells, problem.d, problem.m)
+    for component in np.eye(problem.d * problem.m):      # the same shift in every cell
+        u = problem.pack(affine, np.broadcast_to(component.reshape(shape[1:]), shape))
+        assert abs(g[n:] @ u[n:]) <= 1e-12 * np.abs(g[n:]).sum()
     v = np.random.default_rng(7).standard_normal(problem.n_vars)
     u = problem.precondition(v)
-    U = u[n:].reshape(problem.n_cells - 1, problem.d * problem.m)
-    PU = U + np.ones((len(U), len(U))) @ U
-    assert np.linalg.norm(PU.ravel() - v[n:]) <= 1e-12 * np.linalg.norm(v[n:])
+    assert np.array_equal(u[n:], v[n:])
     Lu = dirichlet_laplacian(problem) @ u[:n].reshape(problem.n_free, problem.d)
     assert np.linalg.norm(Lu.ravel() - v[:n]) <= 1e-12 * max(1.0, np.linalg.norm(v[:n]))
+    if N == 3:
+        res = minimize(problem, SolveOptions(), affine_deformation(problem.grid, M))
+        assert res.converged and res.iterations == 0
+        assert np.array_equal(res.internal, np.tile(s0[None], (problem.n_cells, 1, 1)))
 
 
 def test_multilattice_s0_buckling_start_iterations_are_mesh_independent(multilattice):
-    # with the shift block of P the buckling start needs 17, 20 and 21
-    # iterations; with an identity block it needed 37, 58 and 118
+    # with the projected shifts the buckling start needs 16, 18 and 21
+    # iterations; as differences against the last cell it needed 17, 20 and
+    # 21 with a Sherman-Morrison block in P, and 37, 58 and 118 without
     M, s0 = np.array([[1.05, 0.02], [0.0, 0.97]]), np.array([[0.02], [0.01]])
     for N in (6, 8, 12):
         grid = build_grid(multilattice.spec, N)
         problem = Problem(grid, multilattice, M, s0=s0)
-        internal = InternalField(grid, np.tile(s0[None], (problem.n_cells, 1, 1)))
-        E_affine = problem.energy_only(
-            problem.start_vector(affine_deformation(grid, M), internal))
-        res = minimize(problem, SolveOptions(), buckling_start(grid, M), internal,
-                       start_label="buckling")
+        E_affine = problem.energy_only(problem.start_vector(affine_deformation(grid, M)))
+        res = minimize(problem, SolveOptions(), buckling_start(grid, M), start_label="buckling")
         assert res.converged and res.iterations <= 30, (N, res.iterations)
         assert abs(res.energy - E_affine) <= solver._ENERGY_FLOOR * (1.0 + abs(E_affine))
 
