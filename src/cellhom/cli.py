@@ -6,8 +6,8 @@ Usage:
 A config selects a lattice, a model, one task and its inputs.  Outputs are
 ``results.csv`` (one row per solved cell problem), ``summary.json``
 (extrapolations, gaps, residuals, solver metadata, config hash, and per
-box size the winner's stop reason, evaluation count and diverged starts,
-and every start's energy, stop reason and cost) and
+box size the winner's stop reason, evaluation count, preconditioner and
+diverged starts, and every start's energy, stop reason and cost) and
 ``plotdata/*.csv`` (f_N against 1/N per boundary matrix).  Identical
 configs and seeds produce byte-identical results.csv; only the timestamp
 in summary.json varies between runs.

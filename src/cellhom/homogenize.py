@@ -89,7 +89,8 @@ def w_cont_estimate(model: EnergyModel, M, schedule, opts: SolveOptions | None =
     det = model.spec.det_abs
     f_vals, diag = [], []
     for N in schedule:
-        result = _solve(model, M, N, opts, s0=s0)
+        problem = Problem(build_grid(model.spec, N), model, M, s0=s0)
+        result = multi_start_minimize(problem, opts)
         raw = result.energy / N**model.spec.d
         f_vals.append(raw / det)
         diag.append({
@@ -102,6 +103,8 @@ def w_cont_estimate(model: EnergyModel, M, schedule, opts: SolveOptions | None =
             "start_label": result.start_label,
             "stop": result.stop,
             "n_evals": result.n_evals,
+            "n_backtracks": result.n_backtracks,
+            "precondition": problem.preconditioner,
             "failed_starts": result.failed_starts,
             "starts": result.starts,
         })

@@ -102,10 +102,6 @@ class EnergyModel:
         """Energies of a batch of cells; F has shape (B, d, n_cols)."""
         return self._cells(np.asarray(F, dtype=float), S, False)
 
-    def gradient_many(self, F, S=None):
-        """Batched (dE/dF, dE/dS); shapes match the inputs."""
-        return self._cells(np.asarray(F, dtype=float), S, True)[1]
-
     def _cells(self, F, S, grad):
         """The kernel on cells F (B, d, n_cols) centred on their corner mean;
         with ``grad`` the gradient is chained back through the centring."""
@@ -124,11 +120,6 @@ class EnergyModel:
     def energy(self, F, s=None) -> float:
         S = None if s is None else np.asarray(s, dtype=float)[None]
         return float(self.energy_many(np.asarray(F, dtype=float)[None], S)[0])
-
-    def gradient(self, F, s=None):
-        S = None if s is None else np.asarray(s, dtype=float)[None]
-        gF, gS = self.gradient_many(np.asarray(F, dtype=float)[None], S)
-        return (gF[0], None if gS is None else gS[0])
 
     # -- kernel entry points on centred batches -----------------------------
 
@@ -185,6 +176,26 @@ class _BondModel(EnergyModel):
         n = len(cell_sites)
         return _BondTable((lo[first], hi[first], np.bincount(inv, weights=np.tile(w, n)),
                            np.tile(rest, n)[first]))
+
+    def _stiffness(self, M):
+        """Laplacian weights c (d, d) of the affine state: c[alpha, a] sums
+        w K[alpha, alpha] delta_a^2 over the table, K = phi''(L) u u^T +
+        (phi'(L) / L)(I - u u^T) the bond's Hessian block at b = M (z_j - z_i),
+        L = |b|, u = b / L, and delta its lattice offset.  None unless every
+        weight is finite and nonnegative and every coordinate has a positive
+        one."""
+        i, j, w, rest = self.table
+        b = (M @ (self.spec.stencil[:, j] - self.spec.stencil[:, i])).T
+        delta = self.spec.offsets_int[j] - self.spec.offsets_int[i]
+        with np.errstate(all="ignore"):     # a collapsed bond gives inf or nan
+            L = np.sqrt(np.einsum("ka,ka->k", b, b))
+            u2 = np.square(b / L[:, None])
+            K = (self.potential.deriv2(rest, L)[:, None] * u2
+                 + (self.potential.deriv(rest, L) / L)[:, None] * (1.0 - u2))
+            c = K.T @ (w[:, None] * delta**2)
+        if np.all(np.isfinite(c)) and c.min() >= 0 and np.all(c.max(axis=1) > 0):
+            return c
+        return None
 
     def _evaluate(self, F, S, grad, bonds=None):
         if self.m and S is None:

@@ -15,23 +15,31 @@ cell gradients are scattered back onto the sites.
 The minimizer is L-BFGS over a preallocated ring of its last pairs and
 their Gram matrix: the two-loop recursion runs on at most ``history``
 floats plus four matrix-vector products.  Its initial inverse Hessian is
-H0 = gamma P^-1, with P^-1 from ``Problem.precondition``.  On the cell route
-P is the Dirichlet graph Laplacian of the free sites, per coordinate, which
-makes the iteration count independent of N (Packwood et al., J. Chem.
-Phys. 144 (2016) 164109); on the internal shifts it is the identity.  On
-the bond route P is the identity: springs without transverse stiffness at
-rest length, or indefinite under compression, have Hessians that the
-Laplacian does not bound.  The first step is steepest descent.  The line
-search tries the unit step first.  A step whose energy rises above the
-rounding floor of the current energy, 1e-12 (1 + |E|), is halved on
-energies alone until the Armijo test (constant 1e-4) holds.  A step that fails the
-Armijo test but stays within that floor cannot be ranked by energy any
-more; it is bracketed and bisected on the directional derivative instead,
-until the approximate Wolfe conditions of Hager & Zhang (SIAM J. Optim.
-16 (2005) 170-192) hold.  Accepted energies never rise above that floor,
-and pinned coordinates never change.  Everything is deterministic given
-the options, including the random warm starts, which draw from per-start
-counter-based generators.  Each result records why its search stopped.
+H0 = gamma P^-1, with P^-1 from ``Problem.precondition``.  P is a Dirichlet
+Laplacian of the free sites, the identity on the internal shifts: for
+coordinate alpha, sum_a c[alpha, a] D_a over the second differences D_a
+along the site axes, weighted by the bond stiffness as in Packwood et al.,
+J. Chem. Phys. 144 (2016) 164109.  On the cell route c = 1, the graph
+Laplacian, which makes the iteration count independent of N.  On the bond
+route c comes from the bonds' Hessian blocks at the affine state
+(``_BondModel._stiffness``); for nearest-neighbour springs at a diagonal M
+it makes P the Hessian itself.  Where some weight is negative (compression,
+shear) or not finite (a collapsed bond), or a coordinate has none, P is the
+identity: those Hessians are indefinite or not bounded by a Laplacian, and
+the unweighted one put compression and LJ winners in higher basins.  Each result records
+its line-search backtracks, the trial steps after the unit step.
+
+The first step is steepest descent.  The line search tries the unit step
+first.  A step whose energy rises above the rounding floor of the current
+energy, 1e-12 (1 + |E|), is halved on energies alone until the Armijo test
+(constant 1e-4) holds.  A step that fails the Armijo test but stays within
+that floor cannot be ranked by energy any more; it is bracketed and
+bisected on the directional derivative instead, until the approximate Wolfe
+conditions of Hager & Zhang (SIAM J. Optim. 16 (2005) 170-192) hold.
+Accepted energies never rise above that floor, and pinned coordinates never
+change.  Everything is deterministic given the options, including the
+random warm starts, which draw from per-start counter-based generators.
+Each result records why its search stopped.
 """
 
 from __future__ import annotations
@@ -102,6 +110,7 @@ class SolveResult:
     start_label: str
     stop: str                       # converged | max_iter | line_search_stall
     n_evals: int                    # energy and energy-gradient evaluations
+    n_backtracks: int = 0           # line-search trials after the unit step
     failed_starts: list = field(default_factory=list)  # multistart labels that diverged
     starts: list = field(default_factory=list)   # multistart record, one dict per start
 
@@ -112,6 +121,8 @@ class Problem:
     A start must carry the pinned values of ``affine_deformation`` bit for
     bit; all evaluations go through ``_evaluate``.  ``bonds`` is the bond
     table of the whole sample, None for models evaluated cell by cell.
+    ``preconditioner`` names P: "laplacian" on the cell route, "stiffness"
+    on the bond route where the stiffness weights qualify, else "identity".
     Kernels read batch-last memory: y itself as ``y.T[None]`` (bond route),
     or the cells gathered by one ``take`` into an (n_cols, d, C) buffer; the
     cell gradients go back onto y by one ``np.bincount`` over ``_scatter``.
@@ -140,15 +151,15 @@ class Problem:
         if self.bonds is None:          # flat indices of the cells' sites in y
             self._scatter = self.d * self.cell_sites[:, :, None] + axes
             self._gather = np.ascontiguousarray(self._scatter.transpose(1, 2, 0))
-            # The free sites fill the cube [r + 1, N - 1 - r]^d, first axis
-            # slowest, on which the Dirichlet graph Laplacian is diagonal in
-            # the orthonormal DST-I basis, a symmetric involution.
-            side = grid.N - 1 - 2 * grid.spec.radius
-            k = np.arange(1, side + 1)
-            self._sine = np.sqrt(2.0 / (side + 1)) * np.sin(np.outer(k, k) * (np.pi / (side + 1)))
-            lam = 2.0 - 2.0 * np.cos(k * (np.pi / (side + 1)))
-            eig = sum(np.ix_(*[lam] * self.d))   # lam_i + lam_j + ..., shape (side,)*d
-            self._inv_eig = (1.0 / eig).reshape(side ** (self.d - 1), side, 1)
+            weights = np.ones((1, self.d))  # one graph Laplacian for every coordinate
+            self.preconditioner = "laplacian"
+        else:
+            weights = model._stiffness(self.M)
+            self.preconditioner = "identity" if weights is None else "stiffness"
+        self._sine = None
+        if weights is not None and self.n_free:     # free sites: the cube [r + 1, N - 1 - r]^d
+            self._sine, self._inv_eig = _dirichlet_laplacian(
+                grid.N - 1 - 2 * grid.spec.radius, self.d, weights)
 
         self.m = model.m
         if self.m == 0 and s0 is not None:
@@ -238,12 +249,12 @@ class Problem:
         return E, g
 
     def precondition(self, v):
-        """P^-1 v for the quasi-Newton initial Hessian.  On the cell route P
-        is the Dirichlet graph Laplacian of the free sites, per coordinate,
-        and the identity on the internal shifts, whose block of ``v`` is
-        returned unchanged.  On the bond route, or with no free site, P is
-        the identity and ``v`` itself is returned."""
-        if self.bonds is not None or self.n_free == 0:
+        """P^-1 v for the quasi-Newton initial Hessian.  P is a Dirichlet
+        Laplacian of the free sites (see ``preconditioner``), and the
+        identity on the internal shifts, whose block of ``v`` is returned
+        unchanged.  Where P is the identity, or with no free site, ``v``
+        itself is returned."""
+        if self._sine is None:
             return v
         n, side, S = self.n_free * self.d, self._sine.shape[0], self._sine
         w = v[:n]
@@ -261,6 +272,21 @@ class Problem:
         return self._evaluate(x, True)
 
 
+def _dirichlet_laplacian(side, d, weights):
+    """The orthonormal DST-I matrix on ``side`` points, a symmetric
+    involution, and the inverse eigenvalues, shaped (side^(d-1), side, k),
+    of the Laplacian sum_a weights[alpha, a] D_a on the cube of side^d free
+    sites, first axis slowest, per coordinate alpha of the k rows of
+    ``weights``; D_a is the second difference along axis a with pinned
+    neighbours held at zero, diagonal in that basis."""
+    k = np.arange(1, side + 1)
+    sine = np.sqrt(2.0 / (side + 1)) * np.sin(np.outer(k, k) * (np.pi / (side + 1)))
+    lam = 2.0 - 2.0 * np.cos(k * (np.pi / (side + 1)))
+    # sum_a weights[:, a] lam_{i_a}, shape (side,)*d + (k,)
+    eig = sum(g[..., None] * weights[:, a] for a, g in enumerate(np.ix_(*[lam] * d)))
+    return sine, (1.0 / eig).reshape(side ** (d - 1), side, len(weights))
+
+
 # ---------------------------------------------------------------------------
 # minimization
 # ---------------------------------------------------------------------------
@@ -276,8 +302,10 @@ _MAX_BACKTRACKS = 60      # trial evaluations per line search after the unit ste
 def _line_search(problem: Problem, x, E, direction, slope):
     """One step along ``direction`` from ``x``; slope = phi'(0) < 0.
 
-    Returns ``(x_new, E_new, g_new, evals)``, with ``x_new = None`` when no
-    acceptable step was found.  A trial that diverges counts as too long.
+    Returns ``(x_new, E_new, g_new, evals, backtracks)``, with ``x_new =
+    None`` when no acceptable step was found; ``backtracks`` counts the
+    trial steps after the unit step.  A trial that diverges counts as too
+    long.
     """
     floor = E + _ENERGY_FLOOR * (1.0 + abs(E))
 
@@ -291,7 +319,7 @@ def _line_search(problem: Problem, x, E, direction, slope):
     x_t, E_t, g_t = trial(1.0)
     evals = 1
     if E_t <= E + _ARMIJO * slope:
-        return x_t, E_t, g_t, evals
+        return x_t, E_t, g_t, evals, 0
 
     if E_t <= floor:
         # Below the rounding floor energies cannot rank steps: bracket and
@@ -307,15 +335,15 @@ def _line_search(problem: Problem, x, E, direction, slope):
                 elif dphi > (2.0 * _WOLFE_DELTA - 1.0) * slope:
                     hi = t
                 else:
-                    return x_t, E_t, g_t, evals
+                    return x_t, E_t, g_t, evals, evals - 1
             if evals > _MAX_BACKTRACKS:
-                return None, E, None, evals
+                return None, E, None, evals, evals - 1
             t = 2.0 * t if hi == np.inf else 0.5 * (lo + hi)
             x_t, E_t, g_t = trial(t)
             evals += 1
 
     t = 1.0
-    for _ in range(_MAX_BACKTRACKS):
+    for backtracks in range(1, _MAX_BACKTRACKS + 1):
         t *= _BACKTRACK
         x_t = x + t * direction
         try:
@@ -325,8 +353,8 @@ def _line_search(problem: Problem, x, E, direction, slope):
         evals += 1
         if E_t <= E + _ARMIJO * t * slope:
             E_t, g_t = problem.value_and_grad(x_t)
-            return x_t, E_t, g_t, evals + 1
-    return None, E, None, evals
+            return x_t, E_t, g_t, evals + 1, backtracks
+    return None, E, None, evals, _MAX_BACKTRACKS
 
 
 class _History:
@@ -397,7 +425,7 @@ def minimize(problem: Problem, opts: SolveOptions, start: Deformation, internal_
         return SolveResult(E, problem.deformation(x), problem.internal_field(x),
                            0, True, 0.0, start_label, "converged", n_evals)
     history = _History(opts.history, g.size, problem.precondition)
-    iterations = 0
+    iterations = n_backtracks = 0
     converged = bool(np.max(np.abs(g)) <= opts.grad_tol)
     stop = "max_iter"
 
@@ -409,8 +437,9 @@ def minimize(problem: Problem, opts: SolveOptions, start: Deformation, internal_
             slope = -(g @ g)
             history.order.clear()
 
-        x_new, E_new, g_new, evals = _line_search(problem, x, E, direction, slope)
+        x_new, E_new, g_new, evals, backtracks = _line_search(problem, x, E, direction, slope)
         n_evals += evals
+        n_backtracks += backtracks
         if x_new is None:
             stop = "line_search_stall"
             break
@@ -431,6 +460,7 @@ def minimize(problem: Problem, opts: SolveOptions, start: Deformation, internal_
         start_label=start_label,
         stop="converged" if converged else stop,
         n_evals=n_evals,
+        n_backtracks=n_backtracks,
     )
 
 
@@ -543,6 +573,7 @@ def multi_start_minimize(problem: Problem, opts: SolveOptions) -> SolveResult:
             best = r
     best.failed_starts = failed
     best.starts = [{"label": r.start_label, "energy": r.energy, "stop": r.stop,
-                    "iterations": r.iterations, "n_evals": r.n_evals}
+                    "iterations": r.iterations, "n_evals": r.n_evals,
+                    "n_backtracks": r.n_backtracks}
                    for r in results]
     return best

@@ -59,6 +59,13 @@ def fd_gradient(energy, F, s=None, h=1e-6):
     return gF, gS
 
 
+def cell_gradient(model, F, s=None):
+    """(dE/dF, dE/ds) of one cell from the model's batched kernel."""
+    S = None if s is None else np.asarray(s, dtype=float)[None]
+    gF, gS = model._cells(np.asarray(F, dtype=float)[None], S, True)[1]
+    return gF[0], None if gS is None else gS[0]
+
+
 def max_rel_err(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

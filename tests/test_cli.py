@@ -186,20 +186,35 @@ def test_run_homogenize_outputs(tmp_path):
         assert entry["stop"] == "converged"
         assert entry["failed_starts"] == []
         assert entry["n_evals"] >= 1
+        assert entry["precondition"] == "stiffness"
         starts = entry["starts"]
         assert [s["label"] for s in starts] == ["affine", "random-0"]
         for s in starts:
-            assert set(s) == {"label", "energy", "stop", "iterations", "n_evals"}
+            assert set(s) == {"label", "energy", "stop", "iterations", "n_evals",
+                              "n_backtracks"}
             assert s["stop"] in ("converged", "max_iter", "line_search_stall")
             assert s["energy"] >= entry["energy"] - 1e-12 * (1 + abs(entry["energy"]))
         won = next(s for s in starts if s["label"] == entry["start_label"])
         assert won == {"label": entry["start_label"], "energy": entry["energy"],
                        "stop": entry["stop"], "iterations": entry["iterations"],
-                       "n_evals": entry["n_evals"]}
+                       "n_evals": entry["n_evals"], "n_backtracks": entry["n_backtracks"]}
 
     plot = (out / "plotdata" / "m0.csv").read_text().strip().splitlines()
     assert plot[0] == "N,inv_N,f_N"
     assert len(plot) == 4
+
+
+@pytest.mark.parametrize("model, M, expected", [    # "stiffness": test_run_homogenize_outputs
+    ({"name": "harmonic"}, [0.5, 0.0, 0.0, 1.0], "identity"),
+    ({"name": "quadratic_form", "params": {"mu": 1.0, "lam": 0.5}}, [1.1, 0.0, 0.0, 0.95],
+     "laplacian"),
+])
+def test_summary_names_the_preconditioner(tmp_path, model, M, expected):
+    path = write_config(tmp_path, model=model, M=[M], solver={"n_random_starts": 0})
+    assert run(parse_config(path), out_dir=str(tmp_path / "out")) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    per_N = summary["results"]["estimates"][0]["per_N"]
+    assert [d["precondition"] for d in per_N] == [expected] * 3
 
 
 def test_run_deterministic_csv(tmp_path):

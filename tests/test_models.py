@@ -10,7 +10,7 @@ from cellhom import (MatrixDensity, QuadraticForm, build_grid, build_lattice,
                      quasiconvex_wrapper_model, square_lattice)
 from cellhom.models import _smoothstep, check_quadratic_form
 
-from conftest import fd_gradient, max_rel_err, random_rotation, rotation
+from conftest import cell_gradient, fd_gradient, max_rel_err, random_rotation, rotation
 
 
 def centered(F):
@@ -148,10 +148,10 @@ def test_cell_kernels_round_per_value_not_layout(square_spec, multilattice, rng)
         F = np.swapaxes(y[grid.interior_cell_sites], 1, 2)
         S = None if model.m == 0 else 0.1 * rng.standard_normal((len(F), 2, model.m))
         E_ref = model.energy_many(F, S)
-        gF_ref, gS_ref = model.gradient_many(F, S)
+        gF_ref, gS_ref = model._cells(F, S, True)[1]
         for batch in layouts(F):
             assert np.array_equal(model.energy_many(batch, S), E_ref), model.name
-            gF, gS = model.gradient_many(batch, S)
+            gF, gS = model._cells(batch, S, True)[1]
             assert np.array_equal(gF, gF_ref), model.name
             assert (gS is None and gS_ref is None) or np.array_equal(gS, gS_ref)
 
@@ -428,7 +428,7 @@ def test_quadratic_exact_near_singular_cells(square_spec, rng):
                   @ rotation(rng.uniform(0, 2 * np.pi)).T)
             F = Fp @ square_spec.corners + np.outer(1e-2 * rng.standard_normal(2), hourglass)
             E_ref, g_ref = mp_quadratic_reference(model, F)
-            gF, _ = model.gradient(F)
+            gF, _ = cell_gradient(model, F)
             assert abs(model.energy(F) - E_ref) <= 1e-12 * max(1.0, abs(E_ref)), (ratio, sign)
             assert max_rel_err(gF, g_ref) <= 1e-12, (ratio, sign)
 
@@ -449,7 +449,7 @@ def test_quadratic_exact_near_repeated_and_zero_stretch(square_spec, rng):
     for F in cells:
         E_ref, g_ref = mp_quadratic_reference(model, F)
         E = model.energy(F)
-        gF, _ = model.gradient(F)
+        gF, _ = cell_gradient(model, F)
         assert np.isfinite(E) and np.all(np.isfinite(gF))
         assert abs(E - E_ref) <= 1e-12 * max(1.0, abs(E_ref))
         assert max_rel_err(gF, g_ref) <= 1e-12
@@ -572,7 +572,7 @@ def test_eval_frame_indifference_gate(harmonic, square_spec, rng):
 
 
 def test_grad_zero_at_rest(harmonic, square_spec):
-    gF, gS = harmonic.gradient(square_spec.corners)
+    gF, gS = cell_gradient(harmonic, square_spec.corners)
     assert np.all(gF == 0.0)
     assert gS is None
 
@@ -580,7 +580,7 @@ def test_grad_zero_at_rest(harmonic, square_spec):
 def test_grad_zero_on_rotation_manifold(square_spec, rng):
     model = quadratic_form_model(square_spec, QuadraticForm.from_moduli(1.0, 0.5))
     R = random_rotation(rng)
-    gF, _ = model.gradient(R @ square_spec.corners)
+    gF, _ = cell_gradient(model, R @ square_spec.corners)
     assert np.max(np.abs(gF)) < 1e-12
 
 
@@ -602,7 +602,7 @@ def test_gradients_match_finite_differences(square_spec, multilattice, rng):
             F = model.spec.stencil + 0.2 * rng.standard_normal((2, model.spec.n_cols))
             F = F - F[:, :4].mean(axis=1, keepdims=True)
             s = 0.2 * rng.standard_normal((2, 1)) if m else None
-            gF, gS = model.gradient(F, s)
+            gF, gS = cell_gradient(model, F, s)
             fF, fS = fd_gradient(model.energy, F, s)
             worst = max(worst, np.abs(gF - fF).max() / max(1.0, np.abs(fF).max()))
             if m:

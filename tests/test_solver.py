@@ -9,7 +9,7 @@ from cellhom import solver
 from cellhom.fields import Deformation
 from cellhom.solver import DivergedEvaluation, start_fields
 
-from conftest import rotation
+from conftest import cell_gradient, rotation
 
 FAST = SolveOptions(n_random_starts=2)
 
@@ -109,12 +109,12 @@ TRIANGULAR = np.array([[1.0, 0.5], [0.0, np.sqrt(3) / 2]])
 
 
 def cell_sum(problem, x):
-    """The per-cell reference: ``energy_many`` and ``gradient_many`` on every
+    """The per-cell reference: ``energy_many`` and the ``_cells`` gradient on every
     interior cell, the cell gradients scattered onto the sites by np.add.at;
     the gradient is the free-site block only."""
     y, s = problem.unpack(x)
     F = np.swapaxes(y[problem.cell_sites], 1, 2)
-    gF, _ = problem.model.gradient_many(F, s)
+    gF, _ = problem.model._cells(F, s, True)[1]
     g_sites = np.zeros_like(y)
     np.add.at(g_sites, problem.cell_sites, np.swapaxes(gF, 1, 2))
     return float(problem.model.energy_many(F, s).sum()), g_sites[problem.free_idx].ravel()
@@ -254,7 +254,7 @@ def test_site_forces_balance(harmonic, square_spec, rng):
     # sums to zero as well
     for _ in range(20):
         F = np.diag([1.3, 0.8]) @ square_spec.corners + 0.3 * rng.standard_normal((2, 4))
-        gF, _ = harmonic.gradient(F)
+        gF, _ = cell_gradient(harmonic, F)
         assert np.abs(gF.sum(axis=1)).max() < 1e-12
 
 
@@ -540,6 +540,7 @@ def test_slope_search_stalls_when_every_trial_diverges():
     assert res.iterations == 0
     assert np.all(np.isfinite(res.argmin))
     assert res.n_evals == 2 + solver._MAX_BACKTRACKS   # start, unit step, cap
+    assert res.n_backtracks == solver._MAX_BACKTRACKS
 
 
 def test_options_validation():
@@ -745,3 +746,69 @@ def test_quadform_buckling_start_iterations_are_mesh_independent(square_spec):
         res = minimize(problem, SolveOptions(), buckling_start(grid, M), start_label="buckling")
         assert res.converged and res.iterations <= 25, (N, res.iterations)
         assert abs(res.energy - E_affine) <= solver._ENERGY_FLOOR * (1.0 + abs(E_affine))
+
+
+@pytest.mark.parametrize("N", [8, 12])
+@pytest.mark.parametrize("diag", [(1.2, 1.0), (1.1, 1.05)])
+def test_stiffness_preconditioner_is_spring_hessian(diag, N, square_spec, harmonic):
+    # nearest-neighbour springs at a diagonal M: every bond's Hessian block
+    # is diagonal and the free sites' Dirichlet neighbours carry bulk
+    # weight, so the weighted Laplacian is the Hessian at the affine state
+    M = np.diag(diag)
+    problem = Problem(build_grid(square_spec, N), harmonic, M)
+    assert problem.preconditioner == "stiffness"
+    x = problem.pack(affine_deformation(problem.grid, M))
+    v = np.random.default_rng(8).standard_normal(problem.n_vars)
+    eps = 1e-6
+    Hv = (problem.value_and_grad(x + eps * v)[1] - problem.value_and_grad(x - eps * v)[1]) / (2 * eps)
+    assert np.max(np.abs(problem.precondition(Hv) - v)) <= 1e-8
+
+
+def test_tension_random_starts_converge_in_few_iterations(square_spec, harmonic):
+    # with P = identity the random starts needed 32, 75, 150 and 299
+    # iterations; the stiffness-weighted Laplacian needs at most 31 here
+    M = np.diag([1.2, 1.0])
+    for N in (8, 16, 32, 64):
+        problem = Problem(build_grid(square_spec, N), harmonic, M)
+        best = multi_start_minimize(problem, FAST)
+        assert best.start_label == "affine" and best.iterations == 0
+        for start in best.starts[1:]:
+            assert start["stop"] == "converged" and start["iterations"] <= 40, (N, start)
+
+
+def test_collapsed_bond_keeps_identity_without_warning(square_spec, harmonic):
+    # at M = diag(1, 0) the vertical bonds have length 0, where phi'/L and
+    # u = b / L are undefined: P is the identity and nothing warns
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        problem = Problem(build_grid(square_spec, 8), harmonic, np.diag([1.0, 0.0]))
+    assert problem.preconditioner == "identity"
+    v = np.ones(problem.n_vars)
+    assert problem.precondition(v) is v
+
+
+def test_backtracks_count_trial_steps_after_the_unit_step():
+    # the LJ workload's affine start at N = 12 backtracks; each line search
+    # evaluates its unit step, then one point per backtrack, and an accepted
+    # halved step is evaluated once more for its gradient
+    model = pair_potential_model(square_lattice(), LJ, 2.5)
+    M = np.array([[1.05, 0.05], [0.0, 1.0]])
+    problem = Problem(build_grid(model.spec, 12), model, M)
+    calls = []
+    for name in ("energy_only", "value_and_grad"):
+        def record(x, f=getattr(problem, name), name=name):
+            calls.append((name, x.copy()))
+            return f(x)
+        setattr(problem, name, record)
+    opts = SolveOptions(max_iter=500)
+    res = minimize(problem, opts, affine_deformation(problem.grid, M), start_label="affine")
+    repeats = sum(a[0] == "energy_only" and b[0] == "value_and_grad" and np.array_equal(a[1], b[1])
+                  for a, b in zip(calls, calls[1:]))
+    assert res.stop == "converged"
+    assert res.n_backtracks > 0
+    assert res.n_backtracks == len(calls) - 1 - repeats - res.iterations
+    assert res.n_evals == len(calls)
+    again = minimize(Problem(build_grid(model.spec, 12), model, M), opts,
+                     affine_deformation(problem.grid, M))
+    assert (again.iterations, again.n_backtracks) == (res.iterations, res.n_backtracks)
