@@ -7,10 +7,11 @@ A config selects a lattice, a model, one task and its inputs.  Outputs are
 ``results.csv`` (one row per solved cell problem), ``summary.json``
 (extrapolations, gaps, residuals, solver metadata, config hash, and per
 box size the winner's stop reason, evaluation count, preconditioner and
-diverged starts, and every start's energy, stop reason and cost) and
-``plotdata/*.csv`` (f_N against 1/N per boundary matrix).  Identical
-configs and seeds produce byte-identical results.csv; only the timestamp
-in summary.json varies between runs.
+diverged starts, the cell problem's wall time, and every start's energy,
+stop reason, cost and wall time) and ``plotdata/*.csv`` (f_N against 1/N
+per boundary matrix).  Identical configs and seeds produce byte-identical
+results.csv; only the timestamp and the wall times in summary.json vary
+between runs.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ that downstream users can audit convergence.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,8 @@ class HomogenizationResult:
     units; ``w_cont`` is the intercept of the 1/N fit.  For a model marked
     ``nonnegative`` a negative intercept is clipped to zero and ``clipped``
     is set; any other model keeps its raw, possibly negative, intercept.
+    Each ``per_N`` entry describes the winning start, except ``wall_s``,
+    the wall time of the whole cell problem: grid, assembly and all starts.
     """
 
     M: np.ndarray
@@ -89,8 +92,10 @@ def w_cont_estimate(model: EnergyModel, M, schedule, opts: SolveOptions | None =
     det = model.spec.det_abs
     f_vals, diag = [], []
     for N in schedule:
+        t0 = time.perf_counter()
         problem = Problem(build_grid(model.spec, N), model, M, s0=s0)
         result = multi_start_minimize(problem, opts)
+        wall_s = time.perf_counter() - t0
         raw = result.energy / N**model.spec.d
         f_vals.append(raw / det)
         diag.append({
@@ -107,6 +112,7 @@ def w_cont_estimate(model: EnergyModel, M, schedule, opts: SolveOptions | None =
             "precondition": problem.preconditioner,
             "failed_starts": result.failed_starts,
             "starts": result.starts,
+            "wall_s": wall_s,
         })
     f_vals = np.asarray(f_vals)
 

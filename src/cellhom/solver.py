@@ -6,16 +6,20 @@ cell.  When a mean value s0 is prescribed for the shifts, they enter the
 energy projected onto it, s - mean(s) + s0, so the constraint holds
 identically along all iterates and the gradient is the projected one.
 The pinned sites carry the affine datum y = M x.  Energies and gradients
-come from ``Problem._evaluate``.  A pair-bond model sees the whole sample
-as one batch entry, over its interior cells' bonds compiled once into
-unique site pairs, so each lattice bond is evaluated once per call.  Any
-other model sees the interior cells, centred on their corner mean, and its
+come from ``Problem._evaluate``, which writes the free variables into one
+site buffer per problem through a view of the free cube, so no evaluation
+copies the datum.  A pair-bond model sees the whole sample as one batch
+entry, over its interior cells' bonds compiled once into unique site
+pairs, so each lattice bond is evaluated once per call.  Any other model
+sees the interior cells, centred on their corner mean, and its
 cell gradients are scattered back onto the sites.
 
 The minimizer is L-BFGS over a preallocated ring of its last pairs and
 their Gram matrix: the two-loop recursion runs on at most ``history``
 floats plus four matrix-vector products.  Its initial inverse Hessian is
-H0 = gamma P^-1, with P^-1 from ``Problem.precondition``.  P is a Dirichlet
+H0 = gamma P^-1, with P^-1 from ``Problem.precondition``, applied once per
+accepted gradient: the descent keeps P^-1 g beside g, and the ring keeps
+P^-1 y = P^-1 g_new - P^-1 g_old beside each y.  P is a Dirichlet
 Laplacian of the free sites, the identity on the internal shifts: for
 coordinate alpha, sum_a c[alpha, a] D_a over the second differences D_a
 along the site axes, weighted by the bond stiffness as in Packwood et al.,
@@ -26,8 +30,9 @@ route c comes from the bonds' Hessian blocks at the affine state
 it makes P the Hessian itself.  Where some weight is negative (compression,
 shear) or not finite (a collapsed bond), or a coordinate has none, P is the
 identity: those Hessians are indefinite or not bounded by a Laplacian, and
-the unweighted one put compression and LJ winners in higher basins.  Each result records
-its line-search backtracks, the trial steps after the unit step.
+the unweighted one put compression and LJ winners in higher basins.  Each
+result records its line-search backtracks, the trial steps after the unit
+step, and its wall time.
 
 The first step is steepest descent.  The line search tries the unit step
 first.  A step whose energy rises above the rounding floor of the current
@@ -44,6 +49,7 @@ Each result records why its search stopped.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +117,7 @@ class SolveResult:
     stop: str                       # converged | max_iter | line_search_stall
     n_evals: int                    # energy and energy-gradient evaluations
     n_backtracks: int = 0           # line-search trials after the unit step
+    wall_s: float = 0.0             # wall time of the search
     failed_starts: list = field(default_factory=list)  # multistart labels that diverged
     starts: list = field(default_factory=list)   # multistart record, one dict per start
 
@@ -123,9 +130,11 @@ class Problem:
     table of the whole sample, None for models evaluated cell by cell.
     ``preconditioner`` names P: "laplacian" on the cell route, "stiffness"
     on the bond route where the stiffness weights qualify, else "identity".
-    Kernels read batch-last memory: y itself as ``y.T[None]`` (bond route),
-    or the cells gathered by one ``take`` into an (n_cols, d, C) buffer; the
-    cell gradients go back onto y by one ``np.bincount`` over ``_scatter``.
+    Kernels read batch-last memory: the problem's site buffer y itself as
+    ``y.T[None]`` (bond route), or the cells gathered by one ``take`` into
+    an (n_cols, d, C) buffer; the cell gradients go back onto y by one
+    ``np.bincount`` over ``_scatter``.  Since the buffer is shared, one
+    problem evaluates on one thread at a time.
     """
 
     def __init__(self, grid: CellGrid, model: EnergyModel, M, s0=None):
@@ -144,12 +153,21 @@ class Problem:
         self.cell_sites = grid.interior_cell_sites
         self.n_cells = self.cell_sites.shape[0]
         self.bonds = model._sample_bonds(self.cell_sites)
-        # unpack copies the affine datum and writes the free block into it
-        self._template = affine_deformation(grid, self.M).y
-        axes = np.arange(self.d)
-        self._free_flat = (self.d * self.free_idx[:, None] + axes).ravel()
+        # the sites the kernel reads: the affine datum, whose free sites, the
+        # cube [r + 1, N - 1 - r]^d, each evaluation overwrites in place
+        N, r = grid.N, grid.spec.radius
+        side = N - 1 - 2 * r
+        self._sites = affine_deformation(grid, self.M).y
+        self._site_shape = (N + 1,) * self.d + (self.d,)
+        self._cube = (slice(r + 1, N - r),) * self.d
+        self._free_shape = (side,) * self.d + (self.d,)
+        # the start screen's pairs: two stencil sites of one interior cell, one of them free
+        a, b = np.triu_indices(self.cell_sites.shape[1], k=1)
+        i, j = self.cell_sites[:, a].ravel(), self.cell_sites[:, b].ravel()
+        held = grid.free_mask[i] | grid.free_mask[j]
+        self._pairs = i[held], j[held]
         if self.bonds is None:          # flat indices of the cells' sites in y
-            self._scatter = self.d * self.cell_sites[:, :, None] + axes
+            self._scatter = self.d * self.cell_sites[:, :, None] + np.arange(self.d)
             self._gather = np.ascontiguousarray(self._scatter.transpose(1, 2, 0))
             weights = np.ones((1, self.d))  # one graph Laplacian for every coordinate
             self.preconditioner = "laplacian"
@@ -157,9 +175,8 @@ class Problem:
             weights = model._stiffness(self.M)
             self.preconditioner = "identity" if weights is None else "stiffness"
         self._sine = None
-        if weights is not None and self.n_free:     # free sites: the cube [r + 1, N - 1 - r]^d
-            self._sine, self._inv_eig = _dirichlet_laplacian(
-                grid.N - 1 - 2 * grid.spec.radius, self.d, weights)
+        if weights is not None and self.n_free:
+            self._sine, self._inv_eig = _dirichlet_laplacian(side, self.d, weights)
 
         self.m = model.m
         if self.m == 0 and s0 is not None:
@@ -180,18 +197,30 @@ class Problem:
             x[self.n_free * self.d:] = np.ravel(np.transpose(internal))
         return x
 
+    def _free(self, y):
+        """The free sites of y (n_sites, d), or of its flat memory, as a view
+        of the free cube, whose C order is ``free_idx`` order."""
+        return y.reshape(self._site_shape)[self._cube]
+
+    def _put(self, y, x):
+        """Write the site block of ``x`` into the free sites of ``y``."""
+        self._free(y)[...] = x[: self.n_free * self.d].reshape(self._free_shape)
+
     def unpack(self, x):
-        """(y, s): the site positions and the (C, d, m) internal shifts, None
-        for a Bravais model; with s0 the shifts are s - mean(s) + s0."""
-        y = self._template.copy()
-        np.put(y, self._free_flat, x[: self.n_free * self.d])
-        s = None
-        if self.m > 0:
-            s = x[self.n_free * self.d:].reshape(self.m * self.d, self.n_cells)
-            if self.s0 is not None:
-                s = s - s.mean(axis=1, keepdims=True) + self.s0.T.reshape(-1, 1)
-            s = s.reshape(self.m, self.d, self.n_cells).T
-        return y, s
+        """(y, s): fresh site positions and the (C, d, m) internal shifts,
+        None for a Bravais model; with s0 the shifts are s - mean(s) + s0."""
+        y = self._sites.copy()
+        self._put(y, x)
+        return y, self._shifts(x)
+
+    def _shifts(self, x):
+        """The shifts of ``unpack``."""
+        if self.m == 0:
+            return None
+        s = x[self.n_free * self.d:].reshape(self.m * self.d, self.n_cells)
+        if self.s0 is not None:
+            s = s - s.mean(axis=1, keepdims=True) + self.s0.T.reshape(-1, 1)
+        return s.reshape(self.m, self.d, self.n_cells).T
 
     def deformation(self, x) -> Deformation:
         return Deformation(self.grid, self.unpack(x)[0])
@@ -201,7 +230,7 @@ class Problem:
 
     def start_vector(self, deformation: Deformation, internal=None):
         pinned = ~self.grid.free_mask
-        if not np.array_equal(deformation.y[pinned], self._template[pinned]):
+        if not np.array_equal(deformation.y[pinned], self._sites[pinned]):
             raise ValueError("start does not satisfy the boundary pinning")
         return self.pack(deformation, internal)
 
@@ -218,7 +247,8 @@ class Problem:
         onto the sites.  Raises ``DivergedEvaluation`` on a non-finite
         energy or site gradient.
         """
-        y, s = self.unpack(x)
+        y, s = self._sites, self._shifts(x)
+        self._put(y, x)
         if self.bonds is not None:
             kernel = self.model._energy_gradient if grad else self.model._energy
             out = kernel(y.T[None], s, self.bonds)       # F: (1, d, n_sites)
@@ -240,7 +270,7 @@ class Problem:
         if not (np.isfinite(E) and np.all(np.isfinite(g_sites))):
             raise DivergedEvaluation("diverged evaluation")
         g = np.empty(self.n_vars)
-        g[: self.n_free * self.d] = g_sites.take(self._free_flat)
+        g[: self.n_free * self.d].reshape(self._free_shape)[...] = self._free(g_sites)
         if self.m > 0:      # batch-last; with s0, the gradient through the projection
             gS = gS.T.reshape(self.m * self.d, self.n_cells)
             if self.s0 is not None:
@@ -359,33 +389,40 @@ def _line_search(problem: Problem, x, E, direction, slope):
 
 class _History:
     """The last ``size`` accepted pairs (s, y) of the quasi-Newton descent,
-    in rows S[a] and Y[a] of a ring whose slots ``order`` lists oldest first.
-    Beside them are kept rho_a = 1 / s_a . y_a, the newest pair's scale
-    gamma = s . y / y . P^-1 y and the Gram entries SY[a, b] = s_a . y_b for
+    in rows S[a] and Y[a] of a ring whose slots ``order`` lists oldest first,
+    with Z[a] = P^-1 y_a beside them; where P is the identity, Z is Y itself.
+    Also kept are rho_a = 1 / s_a . y_a, the newest pair's scale
+    gamma = s . y / y . z and the Gram entries SY[a, b] = s_a . y_b for
     a older than b, the only ones the recursions read.  The initial inverse
-    Hessian is H0 = gamma P^-1, with ``precondition`` applying P^-1.  A push
-    costs one matrix-vector product over the n variables and one P^-1, a
-    direction four and one P^-1."""
+    Hessian is H0 = gamma P^-1, which ``direction`` applies through P^-1 g
+    and the rows Z, so it needs no P^-1 of its own.  A push costs one
+    matrix-vector product over the n variables, a direction four."""
 
-    def __init__(self, size, n, precondition=lambda v: v):
+    def __init__(self, size, n, identity=True):
         self.S, self.Y, self.SY = np.empty((size, n)), np.empty((size, n)), np.empty((size, size))
+        self.Z = self.Y if identity else np.empty((size, n))
         self.rho, self.order = [0.0] * size, []
-        self.precondition = precondition
 
-    def push(self, s, y):
+    def push(self, s, y, z):
+        """Add the pair (s, y) with z = P^-1 y, unless it fails the curvature
+        test; with P the identity, z is y."""
         sy, yy, order = float(s @ y), float(y @ y), self.order
         if self.rho and sy > 1e-12 * (float(s @ s) * yy) ** 0.5:
             p = order.pop(0) if len(order) == len(self.rho) else len(order)
             order.append(p)
             k = len(order)              # the filled slots are rows [0, k)
             self.S[p], self.Y[p], self.rho[p] = s, y, 1.0 / sy
-            self.gamma = sy / float(y @ self.precondition(y))
+            if self.Z is not self.Y:
+                self.Z[p] = z
+            self.gamma = sy / float(y @ z)
             self.SY[:k, p] = self.S[:k] @ y
 
-    def direction(self, g):
-        """-H g by Nocedal's two-loop recursion (Math. Comp. 35 (1980)
-        773-782) from H0 = gamma P^-1, its dot products s_a . q and y_a . r
-        taken from S g, Y q and the Gram entries of swept pairs."""
+    def direction(self, g, pg):
+        """-H g, given pg = P^-1 g, by Nocedal's two-loop recursion (Math.
+        Comp. 35 (1980) 773-782) from H0 = gamma P^-1: its middle step is
+        gamma P^-1 (-g - sum_a alpha_a y_a) = gamma (-pg - sum_a alpha_a z_a),
+        its dot products s_a . q and y_a . r are taken from S g, Y q and the
+        Gram entries of swept pairs."""
         order, rho, k = self.order, self.rho, len(self.order)
         if not k:
             return -g
@@ -397,7 +434,7 @@ class _History:
             for b in order[t + 1:]:
                 acc += alpha[b] * G[a][b]
             alpha[a] = -rho[a] * acc
-        q = self.precondition(-g - np.array(alpha) @ Y) * self.gamma
+        q = (-pg - np.array(alpha) @ self.Z[:k]) * self.gamma
         yq = (Y @ q).tolist()
         c = [0.0] * k
         for t, a in enumerate(order):
@@ -416,21 +453,27 @@ def minimize(problem: Problem, opts: SolveOptions, start: Deformation, internal_
     (``stop = "converged"``), when the iteration cap is hit (``"max_iter"``)
     or when the line search finds no step (``"line_search_stall"``); the
     last accepted iterate is returned.  No accepted energy exceeds the
-    previous one by more than its rounding floor.
+    previous one by more than its rounding floor.  P^-1 is applied once per
+    gradient, none with ``opts.history`` 0; where ``problem.precondition``
+    returns its argument, P is the identity and is not applied again.
     """
+    t0 = time.perf_counter()
     x = problem.start_vector(start, internal_start)
     E, g = problem.value_and_grad(x)
     n_evals = 1
     if g.size == 0:
         return SolveResult(E, problem.deformation(x), problem.internal_field(x),
-                           0, True, 0.0, start_label, "converged", n_evals)
-    history = _History(opts.history, g.size, problem.precondition)
+                           0, True, 0.0, start_label, "converged", n_evals,
+                           wall_s=time.perf_counter() - t0)
+    pg = problem.precondition(g) if opts.history else g
+    identity = pg is g
+    history = _History(opts.history, g.size, identity)
     iterations = n_backtracks = 0
     converged = bool(np.max(np.abs(g)) <= opts.grad_tol)
     stop = "max_iter"
 
     while not converged and iterations < opts.max_iter:
-        direction = history.direction(g)
+        direction = history.direction(g, pg)
         slope = direction @ g
         if not np.isfinite(slope) or slope >= 0:
             direction = -g
@@ -445,8 +488,10 @@ def minimize(problem: Problem, opts: SolveOptions, start: Deformation, internal_
             break
         if not E_new <= E + _ENERGY_FLOOR * (1.0 + abs(E)):
             raise RuntimeError(f"line search raised the energy from {E!r} to {E_new!r}")
-        history.push(x_new - x, g_new - g)
-        x, E, g = x_new, E_new, g_new
+        pg_new = g_new if identity else problem.precondition(g_new)
+        y = g_new - g
+        history.push(x_new - x, y, y if identity else pg_new - pg)
+        x, E, g, pg = x_new, E_new, g_new, pg_new
         iterations += 1
         converged = bool(np.max(np.abs(g)) <= opts.grad_tol)
 
@@ -461,6 +506,7 @@ def minimize(problem: Problem, opts: SolveOptions, start: Deformation, internal_
         stop="converged" if converged else stop,
         n_evals=n_evals,
         n_backtracks=n_backtracks,
+        wall_s=time.perf_counter() - t0,
     )
 
 
@@ -500,15 +546,16 @@ def _rng_for_start(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _min_bond_length(problem: Problem, x) -> float:
-    """Shortest distance between two stencil sites of one interior cell, at
-    least one of them free: the start jitter cannot part a pinned pair."""
-    y, _ = problem.unpack(x)
-    Y = np.take(y, problem.cell_sites, axis=0)           # (C, n_cols, d)
-    L = np.linalg.norm(Y[:, :, None, :] - Y[:, None, :, :], axis=-1)
-    free = problem.grid.free_mask[problem.cell_sites]
-    movable = (free[:, :, None] | free[:, None, :]) & ~np.eye(L.shape[1], dtype=bool)
-    return float(L[movable].min(initial=np.inf))
+_COLLAPSED = 1e-8         # a start with a shorter stencil pair is jittered
+
+
+def _min_bond_length(problem: Problem, y) -> float:
+    """Shortest distance at sites y between two stencil sites of one interior
+    cell, at least one of them free: the start jitter cannot part a pinned
+    pair."""
+    i, j = problem._pairs
+    b = y.take(j, axis=0) - y.take(i, axis=0)
+    return float(np.sqrt(np.einsum("ka,ka->k", b, b).min(initial=np.inf)))
 
 
 def start_fields(problem: Problem, opts: SolveOptions):
@@ -517,7 +564,8 @@ def start_fields(problem: Problem, opts: SolveOptions):
     ``opts.n_random_starts`` random perturbations of the affine field.  The
     shifts are None, which starts them at s0 or zero, except on random starts
     without s0.  A start with a collapsed bond is jittered by 1e-6 so its
-    gradient exists.
+    gradient exists.  A random start is not screened when the affine one's
+    shortest pair provably outlasts its perturbation.
     """
     starts = []
     affine = affine_deformation(problem.grid, problem.M)
@@ -540,8 +588,16 @@ def start_fields(problem: Problem, opts: SolveOptions):
                                    size=(problem.n_cells, problem.d, problem.m))
         starts.append((f"random-{k}", dfm, internal))
 
+    shortest = _min_bond_length(problem, affine.y)
+    # a uniform perturbation of amplitude a moves each end of a pair by at most
+    # a sqrt(d), so its distance by at most 2 a sqrt(d); a second floor of
+    # margin covers the rounding of the perturbed coordinates
+    parted = shortest - 2.0 * opts.perturb_amp * np.sqrt(problem.d) >= 2 * _COLLAPSED
+    first_random = len(starts) - opts.n_random_starts
     for idx, (label, dfm, internal) in enumerate(starts):
-        if _min_bond_length(problem, problem.start_vector(dfm, internal)) < 1e-8:
+        if idx >= first_random and parted:
+            break
+        if (shortest if idx == 0 else _min_bond_length(problem, dfm.y)) < _COLLAPSED:
             rng = _rng_for_start(opts.seed, 10_000 + idx)
             dfm = dfm.copy()
             dfm.y[problem.free_idx] += rng.uniform(
@@ -574,6 +630,6 @@ def multi_start_minimize(problem: Problem, opts: SolveOptions) -> SolveResult:
     best.failed_starts = failed
     best.starts = [{"label": r.start_label, "energy": r.energy, "stop": r.stop,
                     "iterations": r.iterations, "n_evals": r.n_evals,
-                    "n_backtracks": r.n_backtracks}
+                    "n_backtracks": r.n_backtracks, "wall_s": r.wall_s}
                    for r in results]
     return best

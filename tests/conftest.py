@@ -70,3 +70,14 @@ def max_rel_err(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return float(np.max(np.abs(a - b)) / max(1.0, float(np.max(np.abs(b)))))
+
+
+def reproducible(summary):
+    """``summary.json`` without what varies between runs: its timestamp and
+    every ``wall_s``."""
+    if isinstance(summary, dict):
+        return {k: reproducible(v) for k, v in summary.items()
+                if k not in ("timestamp", "wall_s")}
+    if isinstance(summary, list):
+        return [reproducible(v) for v in summary]
+    return summary

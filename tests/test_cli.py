@@ -13,6 +13,8 @@ import pytest
 import cellhom
 from cellhom.cli import main, parse_config, run
 
+from conftest import reproducible
+
 
 def write_config(tmp_path, name="config.json", **overrides):
     config = {
@@ -191,10 +193,12 @@ def test_run_homogenize_outputs(tmp_path):
         assert [s["label"] for s in starts] == ["affine", "random-0"]
         for s in starts:
             assert set(s) == {"label", "energy", "stop", "iterations", "n_evals",
-                              "n_backtracks"}
+                              "n_backtracks", "wall_s"}
             assert s["stop"] in ("converged", "max_iter", "line_search_stall")
             assert s["energy"] >= entry["energy"] - 1e-12 * (1 + abs(entry["energy"]))
+            assert s["wall_s"] >= 0
         won = next(s for s in starts if s["label"] == entry["start_label"])
+        assert won.pop("wall_s") <= entry["wall_s"]     # one start of the cell problem
         assert won == {"label": entry["start_label"], "energy": entry["energy"],
                        "stop": entry["stop"], "iterations": entry["iterations"],
                        "n_evals": entry["n_evals"], "n_backtracks": entry["n_backtracks"]}
@@ -225,8 +229,7 @@ def test_run_deterministic_csv(tmp_path):
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
     s1 = json.loads((out1 / "summary.json").read_text())
     s2 = json.loads((out2 / "summary.json").read_text())
-    s1.pop("timestamp"), s2.pop("timestamp")
-    assert s1 == s2
+    assert reproducible(s1) == reproducible(s2)
 
 
 def test_run_cb_scan(tmp_path):

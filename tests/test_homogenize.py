@@ -225,3 +225,16 @@ def test_lj_w_cont_keeps_negative_intercept():
     assert est.w_cont == pytest.approx(-2.5594, abs=1e-3)
     assert not any("clipped" in w for w in est.warnings)
     assert [d["stop"] for d in est.per_N] == ["converged"] * 3
+
+
+def test_wall_times_are_recorded(harmonic):
+    # every start records its own search's wall time; each per-N entry the
+    # whole cell problem's, which holds the winner's
+    est = w_cont_estimate(harmonic, np.diag([1.2, 1.0]), [4, 6, 8], TINY)
+    for entry in est.per_N:
+        assert entry["wall_s"] >= 0
+        assert [s["label"] for s in entry["starts"]] == ["affine", "random-0"]
+        assert all(s["wall_s"] >= 0 for s in entry["starts"])
+        won = next(s for s in entry["starts"] if s["label"] == entry["start_label"])
+        assert won["wall_s"] <= entry["wall_s"]
+        assert sum(s["wall_s"] for s in entry["starts"]) <= entry["wall_s"]

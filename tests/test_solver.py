@@ -284,6 +284,54 @@ def test_start_jitter_ignores_pinned_pairs(square_spec, harmonic):
             assert np.linalg.norm(y[i[held]] - y[j[held]], axis=1).min() >= 1e-8
 
 
+def brute_min_bond_length(problem, y):
+    """The start screen by brute force: every interior cell's full matrix of
+    stencil-site distances, over the pairs with a free end."""
+    Y = np.take(y, problem.cell_sites, axis=0)           # (C, n_cols, d)
+    L = np.linalg.norm(Y[:, :, None, :] - Y[:, None, :, :], axis=-1)
+    free = problem.grid.free_mask[problem.cell_sites]
+    movable = (free[:, :, None] | free[:, None, :]) & ~np.eye(L.shape[1], dtype=bool)
+    return float(L[movable].min(initial=np.inf))
+
+
+@pytest.mark.parametrize("case", ["harmonic", "lj", "multilattice"])
+def test_start_screen_matches_brute_force(case, square_spec, harmonic, multilattice):
+    model = {"harmonic": harmonic, "multilattice": multilattice,
+             "lj": pair_potential_model(square_spec, LJ, 2.5)}[case]
+    M = np.array([[1.05, 0.05], [0.0, 0.97]])
+    rng = np.random.default_rng(21)
+    for N in (7, 10):
+        problem = Problem(build_grid(model.spec, N), model, M)
+        affine = affine_deformation(problem.grid, M).y
+        for amp in (0.0, 0.3, 0.6):
+            y = affine.copy()
+            y[problem.free_idx] += amp * rng.standard_normal((problem.n_free, 2))
+            assert solver._min_bond_length(problem, y) == brute_min_bond_length(problem, y)
+
+
+@pytest.mark.parametrize("M, amp, screened", [
+    (np.diag([1.2, 1.0]), 0.1, ["affine"]),                 # 1 - 0.2 sqrt(2) >= 2e-8
+    (np.diag([1.2, 1.0]), 0.4, ["affine", "random-0", "random-1"]),
+    (np.diag([1.0, 0.1]), 0.1, ["affine", "buckling", "random-0", "random-1"]),
+])
+def test_random_starts_are_screened_unless_provably_parted(M, amp, screened, square_spec,
+                                                           harmonic, monkeypatch):
+    # a uniform perturbation of amplitude a moves a pair's distance by at
+    # most 2 a sqrt(d), so the random starts are screened only where the
+    # affine start's shortest pair could collapse under it
+    problem = Problem(build_grid(square_spec, 8), harmonic, M)
+    opts = SolveOptions(n_random_starts=2, perturb_amp=amp)
+    seen = []
+    screen = solver._min_bond_length
+    monkeypatch.setattr(solver, "_min_bond_length",
+                        lambda p, y: seen.append(y.copy()) or screen(p, y))
+    starts = start_fields(problem, opts)
+    assert [label for label, _, _ in starts][:len(screened)] == screened
+    assert len(seen) == len(screened)
+    for y, (_, dfm, _) in zip(seen, starts):
+        assert np.array_equal(y, dfm.y)
+
+
 def test_minimize_converges_at_critical_start(grid5, harmonic):
     problem = Problem(grid5, harmonic, np.eye(2))
     res = minimize(problem, FAST, affine_deformation(grid5, np.eye(2)), start_label="affine")
@@ -590,7 +638,7 @@ def test_two_loop_matches_textbook():
     history, pairs = solver._History(size, n), []
 
     def push(s, y):
-        history.push(s, y)
+        history.push(s, y, y)
         if s @ y > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
             pairs.append((s, y))
             del pairs[:-size]
@@ -598,7 +646,7 @@ def test_two_loop_matches_textbook():
     def check():
         g = rng.standard_normal(n)
         ref = textbook_direction(pairs, g)
-        assert np.linalg.norm(history.direction(g) - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(history.direction(g, g) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def step():
         s = rng.standard_normal(n)
@@ -632,19 +680,20 @@ def test_preconditioned_two_loop_matches_textbook():
     A = Q @ np.diag(rng.uniform(1.0, 10.0, n)) @ Q.T
     B = rng.standard_normal((n, n))
     P_inv = np.linalg.inv(B @ B.T + 0.1 * np.eye(n))
-    history, pairs = solver._History(size, n, lambda v: P_inv @ v), []
+    history, pairs = solver._History(size, n, identity=False), []
     g = rng.standard_normal(n)
-    assert np.array_equal(history.direction(g), -g)
+    assert np.array_equal(history.direction(g, P_inv @ g), -g)
     for count in range(1, 2 * size + 4):
         s = rng.standard_normal(n)
         y = A @ s + 0.01 * rng.standard_normal(n)
-        history.push(s, y)
+        history.push(s, y, P_inv @ y)
         pairs.append((s, y))
         del pairs[:-size]
         if count in (1, 5, size, size + 1, 2 * size + 3):
             g = rng.standard_normal(n)
             ref = textbook_direction(pairs, g, lambda v: P_inv @ v)
-            assert np.linalg.norm(history.direction(g) - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.linalg.norm(history.direction(g, P_inv @ g) - ref) <= \
+                1e-12 * np.linalg.norm(ref)
 
 
 def dirichlet_laplacian(problem):
@@ -812,3 +861,23 @@ def test_backtracks_count_trial_steps_after_the_unit_step():
     again = minimize(Problem(build_grid(model.spec, 12), model, M), opts,
                      affine_deformation(problem.grid, M))
     assert (again.iterations, again.n_backtracks) == (res.iterations, res.n_backtracks)
+
+
+def test_one_preconditioner_application_per_iteration(square_spec, harmonic):
+    # pg = P^-1 g is kept beside g and the history keeps P^-1 y beside y, so
+    # each accepted gradient is preconditioned once, the first one included;
+    # with no history nothing is
+    M = np.diag([1.2, 1.0])
+    problem = Problem(build_grid(square_spec, 16), harmonic, M)
+    assert problem.preconditioner == "stiffness"
+    calls = []
+    apply = problem.precondition
+    problem.precondition = lambda v: calls.append(1) or apply(v)
+    iterations = []
+    for opts in (FAST, SolveOptions(n_random_starts=2, history=0, max_iter=50)):
+        for label, dfm, internal in start_fields(problem, opts):
+            calls.clear()
+            res = minimize(problem, opts, dfm, internal, start_label=label)
+            assert len(calls) == (res.iterations + 1 if opts.history else 0), label
+            iterations.append(res.iterations)
+    assert min(iterations[1:3]) > 0
