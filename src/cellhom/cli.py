@@ -152,6 +152,12 @@ def parse_config(path) -> RunConfig:
     r = model.spec.radius
     if any(N <= 2 * r for N in schedule):
         raise ValueError(f"schedule invalid for stencil radius {r}: need N > {2 * r}")
+    if task in ("homogenize", "cb_scan"):
+        hm._fit_schedule(schedule)
+    elif task == "tiling_check" and (len(schedule) < 2
+                                     or any(k % schedule[0] for k in schedule[1:])):
+        raise ValueError("tiling_check needs a schedule [n, k, ...] with at least one k, "
+                         "each k a multiple of n")
 
     sol = dict(raw.get("solver", {}))
     _reject_unknown(sol, _SOLVER_KEYS, "solver block")

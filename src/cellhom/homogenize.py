@@ -73,6 +73,15 @@ def f_N(model: EnergyModel, M, N, opts: SolveOptions | None = None, s0=None) -> 
     return _solve(model, M, N, opts or SolveOptions(), s0=s0).energy / N**model.spec.d
 
 
+def _fit_schedule(schedule):
+    """The box sizes as ints; ValueError unless there are at least three,
+    strictly increasing, as the fit needs."""
+    schedule = [int(N) for N in schedule]
+    if len(schedule) < 3 or any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule must be strictly increasing with length >= 3")
+    return schedule
+
+
 def w_cont_estimate(model: EnergyModel, M, schedule, opts: SolveOptions | None = None,
                     s0=None) -> HomogenizationResult:
     """Extrapolate the cell-problem sequence over a schedule of box sizes.
@@ -84,9 +93,7 @@ def w_cont_estimate(model: EnergyModel, M, schedule, opts: SolveOptions | None =
     minimum of the constrained density over the mean.
     """
     opts = opts or SolveOptions()
-    schedule = [int(N) for N in schedule]
-    if len(schedule) < 3 or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly increasing with length >= 3")
+    schedule = _fit_schedule(schedule)
     M = np.asarray(M, dtype=float)
 
     det = model.spec.det_abs

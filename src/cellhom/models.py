@@ -19,17 +19,21 @@ layout is copied first.  They add rows one by one in index order, as in
 order follows the layout and the batch size: results depend on values alone.
 
 Bond models are one family: each holds a ``PairPotential`` and evaluates
-any batch over a bond table of its columns, phi = V_r(|b|) and phi' once
-per bond: column pairs i, j, weights w and reference lengths r.  Harmonic
-springs are the pair model of ``harmonic_pair(2k, r0)`` at cutoff 1.  The
-internal shifts S are the columns after the stencil's, so the multilattice
-model's one table holds the cell's edges and the arms from its corners to
-the internal atom.  A model's own table holds one cell's bonds;
-``_sample_bonds`` compiles a sample's interior cells into unique site
-pairs, so that the whole sample is one batch entry whose columns are its
-sites.  Gradients are exact except at the non-smooth points of bond
-lengths |b| = 0, where the zero element of the subdifferential is returned
-for the offending term.
+any batch over a bond table of its columns, phi = V_r(|b|) once per bond,
+or phi and phi' from one ``value_and_deriv`` pass: column pairs i, j,
+weights w and reference lengths r.  Harmonic springs are the pair model of
+``harmonic_pair(2k, r0)`` at cutoff 1.  The internal shifts S are the
+columns after the stencil's, so the multilattice model's one table holds
+the cell's edges and the arms from its corners to the internal atom.  A
+model's own table holds one cell's bonds; ``_sample_bonds`` compiles a
+sample's interior cells into unique site pairs, so that the whole sample
+is one batch entry whose columns are its sites, and ``_moving_bonds``
+keeps of those the bonds with a free end, each evaluated once per call:
+the energies of the bonds that join two pinned sites never change, so they
+are taken once and the energy is still the whole table's sum, bit for bit.
+Gradients are exact except at the non-smooth points of bond lengths
+|b| = 0, where the zero element of the subdifferential is returned for the
+offending term.
 """
 
 from __future__ import annotations
@@ -197,29 +201,48 @@ class _BondModel(EnergyModel):
             return c
         return None
 
-    def _evaluate(self, F, S, grad, bonds=None):
-        if self.m and S is None:
-            raise ValueError("multilattice model needs an internal shift s")
-        table = self.table if bonds is None else bonds
+    def _moving_bonds(self, bonds, free, y):
+        """The bonds of the sample table ``bonds`` with an end among the sites
+        ``free`` (a mask), as a table whose ``energy`` is the whole table's
+        at any sites that agree with y (n_sites, d) on the pinned ones: the
+        energies of the bonds that join two pinned sites are taken here, once."""
+        keep = free[bonds[0]] | free[bonds[1]]
+        fixed = _BondTable(c[~keep] for c in bonds)
+        L = self._bonds(y.T[None], None, fixed)[1]
+        V = np.empty(len(keep))
+        V[~keep] = self.potential.value(fixed[3][:, None], L)[:, 0]
+        return _MovingBonds(bonds, keep, V)
+
+    def _bonds(self, F, S, table):
+        """Bond vectors b (d, n_bonds, B) and lengths L (n_bonds, B) of the
+        table over X = [F | S], the flat end indices (I, J) and the shape of
+        X's batch-last memory."""
         T = _rows(F) if S is None else np.concatenate((_rows(F), S.T))
-        (I, J), w, rest = table.flat(T.shape[::-1]), table[2][:, None], table[3][:, None]
+        (I, J), shape = table.flat(T.shape[::-1]), T.shape
         flat = T.reshape(-1)                # copies only a batch in another layout
         b = flat.take(J)                    # (d, n_bonds, B) bond vectors
         b -= flat.take(I)
         # drop a batch copy first: a lower heap peak is not trimmed and re-faulted
-        shape, size = T.shape, T.size
         del T, flat
-        L = np.sqrt(np.einsum("akb,akb->kb", b, b))
-        # one dot per cell: a cell's energy does not depend on its batch
-        E = (np.ascontiguousarray(self.potential.value(rest, L).T)[:, None, :] @ w)[:, 0, 0]
+        return b, np.sqrt(np.einsum("akb,akb->kb", b, b)), (I, J), shape
+
+    def _evaluate(self, F, S, grad, bonds=None):
+        if self.m and S is None:
+            raise ValueError("multilattice model needs an internal shift s")
+        table = self.table if bonds is None else bonds
+        b, L, (I, J), shape = self._bonds(F, S, table)
+        rest = table[3][:, None]
         if not grad:
-            return E
-        coef = w * self.potential.deriv(rest, L)
+            return table.energy(self.potential.value(rest, L))
+        V, dV = self.potential.value_and_deriv(rest, L)
+        E = table.energy(V)
+        coef = table[2][:, None] * dV
         if L.min(initial=np.inf) > _ZERO_BOND:
             coef /= L
         else:                               # the zero subgradient at |b| = 0
             coef = np.where(L > _ZERO_BOND, coef / np.where(L > _ZERO_BOND, L, 1.0), 0.0)
         b *= coef                           # dE/dF[:, :, j] of each bond
+        size = shape[0] * shape[1] * shape[2]
         gT = np.bincount(J.ravel(), b.ravel(), minlength=size)
         gT -= np.bincount(I.ravel(), b.ravel(), minlength=size)
         G, n = gT.reshape(shape).transpose(2, 1, 0), F.shape[2]
@@ -238,6 +261,27 @@ class _BondTable(tuple):
             cached = self._flat = (shape, tuple(rows + rows.size * e[:, None] for e in self[:2]))
         return cached[1]
 
+    def energy(self, V):
+        """The energies of a batch from its bond energies V (n_bonds, B): one
+        dot per cell, so a cell's energy does not depend on its batch."""
+        return (np.ascontiguousarray(V.T)[:, None, :] @ self[2][:, None])[:, 0, 0]
+
+
+class _MovingBonds(_BondTable):
+    """The rows ``keep`` of a one-entry sample table ``full``, beside V, the
+    energies of all of its bonds in table order.  ``energy`` writes the kept
+    bonds' energies into V and takes the full table's dot, so the others'
+    stay as they were set and the sum is the full table's bit for bit."""
+
+    def __new__(cls, full, keep, V):
+        table = super().__new__(cls, (c[keep] for c in full))
+        table.full, table.keep, table.V = full, keep, V
+        return table
+
+    def energy(self, V):
+        self.V[self.keep] = V.ravel()
+        return self.full.energy(self.V[:, None])
+
 
 def _cell_edges(d: int) -> np.ndarray:
     """Corner-index pairs (i, j) of the d*2^(d-1) unit-cell edges, sorted:
@@ -250,10 +294,12 @@ class PairPotential:
     """A family of radial potentials V_r(rho) indexed by the shell radius.
 
     ``value(r, rho)`` is the energy of a bond of rest length r stretched
-    to length rho; ``deriv``/``deriv2`` differentiate in rho.  All
-    callables must broadcast over numpy arrays.  ``nonnegative`` marks
-    families with V >= 0 so downstream checks may rely on a nonnegative
-    total energy.
+    to length rho; ``deriv``/``deriv2`` differentiate in rho.
+    ``value_and_deriv(r, rho)`` returns ``(value(r, rho), deriv(r, rho))``
+    bit for bit, in one pass over what the two share; without one, it calls
+    both.  All callables must broadcast over numpy arrays.  ``nonnegative``
+    marks families with V >= 0 so downstream checks may rely on a
+    nonnegative total energy.
     """
 
     value: Callable
@@ -261,6 +307,12 @@ class PairPotential:
     deriv2: Callable
     name: str = "pair"
     nonnegative: bool = False
+    value_and_deriv: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.value_and_deriv is None:
+            object.__setattr__(self, "value_and_deriv",
+                               lambda r, rho: (self.value(r, rho), self.deriv(r, rho)))
 
 
 def lennard_jones(epsilon=1.0, sigma=1.0) -> PairPotential:
@@ -278,7 +330,12 @@ def lennard_jones(epsilon=1.0, sigma=1.0) -> PairPotential:
         x = (sigma / rho) ** 6
         return 4.0 * epsilon * (156.0 * x * x - 42.0 * x) / rho**2
 
-    return PairPotential(value, deriv, deriv2, name="lennard-jones")
+    def value_and_deriv(r, rho):
+        x = (sigma / rho) ** 6
+        return 4.0 * epsilon * (x * x - x), 4.0 * epsilon * (-12.0 * x * x + 6.0 * x) / rho
+
+    return PairPotential(value, deriv, deriv2, name="lennard-jones",
+                         value_and_deriv=value_and_deriv)
 
 
 def harmonic_pair(k=1.0, r0=1.0, shell=None) -> PairPotential:
@@ -289,12 +346,17 @@ def harmonic_pair(k=1.0, r0=1.0, shell=None) -> PairPotential:
             return 1.0
         return (np.abs(np.asarray(r, dtype=float) - shell) < 1e-9).astype(float)
 
+    def value_and_deriv(r, rho):
+        s, stretch = sel(r), np.asarray(rho, dtype=float) - r0
+        return s * 0.5 * k * stretch ** 2, s * k * stretch
+
     return PairPotential(
         value=lambda r, rho: sel(r) * 0.5 * k * (np.asarray(rho, dtype=float) - r0) ** 2,
         deriv=lambda r, rho: sel(r) * k * (np.asarray(rho, dtype=float) - r0),
         deriv2=lambda r, rho: sel(r) * k * np.ones_like(np.asarray(rho, dtype=float)),
         name="harmonic-pair",
         nonnegative=True,
+        value_and_deriv=value_and_deriv,
     )
 
 
@@ -684,9 +746,14 @@ def multilattice_harmonic_model(spec: LatticeSpec, k: float, r0: float) -> Energ
     if abs(r0 - z1) > 1e-9:
         raise ValueError(f"rest length must equal the corner distance {z1}")
     k, r0 = float(k), float(r0)
+
+    def value_and_deriv(r, rho):
+        stretch = rho - r
+        return 0.5 * k * stretch ** 2, k * stretch
+
     spring = PairPotential(lambda r, rho: 0.5 * k * (rho - r) ** 2, lambda r, rho: k * (rho - r),
                            lambda r, rho: k * np.ones_like(rho), name="harmonic-pair",
-                           nonnegative=True)
+                           nonnegative=True, value_and_deriv=value_and_deriv)
     bonds = np.concatenate((_cell_edges(2), [(j, 4) for j in range(4)]))
     return _BondModel("multilattice-harmonic", spec, spring, bonds, np.ones(8),
                       [1.0] * 4 + [r0] * 4, m=1, nonnegative=True, frame_indifferent=True,

@@ -10,9 +10,10 @@ come from ``Problem._evaluate``, which writes the free variables into one
 site buffer per problem through a view of the free cube, so no evaluation
 copies the datum.  A pair-bond model sees the whole sample as one batch
 entry, over its interior cells' bonds compiled once into unique site
-pairs, so each lattice bond is evaluated once per call.  Any other model
-sees the interior cells, centred on their corner mean, and its
-cell gradients are scattered back onto the sites.
+pairs, so each bond with a free end is evaluated once per call; a bond
+between two pinned sites is evaluated once, when the problem is assembled.
+Any other model sees the interior cells, centred on their corner mean, and
+its cell gradients are scattered back onto the sites.
 
 The minimizer is L-BFGS over a preallocated ring of its last pairs and
 their Gram matrix: the two-loop recursion runs on at most ``history``
@@ -49,6 +50,7 @@ Each result records why its search stopped.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -127,7 +129,10 @@ class Problem:
 
     A start must carry the pinned values of ``affine_deformation`` bit for
     bit; all evaluations go through ``_evaluate``.  ``bonds`` is the bond
-    table of the whole sample, None for models evaluated cell by cell.
+    table of the whole sample, None for models evaluated cell by cell; the
+    kernel reads ``_moving``, its bonds with a free end, which holds the
+    energies of the others, taken once from the datum, so that the energy
+    is the whole table's bit for bit and so are the free sites' gradients.
     ``preconditioner`` names P: "laplacian" on the cell route, "stiffness"
     on the bond route where the stiffness weights qualify, else "identity".
     Kernels read batch-last memory: the problem's site buffer y itself as
@@ -172,6 +177,7 @@ class Problem:
             weights = np.ones((1, self.d))  # one graph Laplacian for every coordinate
             self.preconditioner = "laplacian"
         else:
+            self._moving = model._moving_bonds(self.bonds, grid.free_mask, self._sites)
             weights = model._stiffness(self.M)
             self.preconditioner = "identity" if weights is None else "stiffness"
         self._sine = None
@@ -251,13 +257,13 @@ class Problem:
         self._put(y, x)
         if self.bonds is not None:
             kernel = self.model._energy_gradient if grad else self.model._energy
-            out = kernel(y.T[None], s, self.bonds)       # F: (1, d, n_sites)
+            out = kernel(y.T[None], s, self._moving)     # F: (1, d, n_sites)
         else:
             F = y.take(self._gather).transpose(2, 1, 0)  # (C, d, n_cols)
             out = self.model._cells(F, s, grad)
         if not grad:
             E = float(out.sum())
-            if not np.isfinite(E):
+            if not math.isfinite(E):
                 raise DivergedEvaluation("diverged evaluation")
             return E
         E_cells, (gF, gS) = out
@@ -267,7 +273,7 @@ class Problem:
         else:
             g_sites = np.bincount(self._scatter.ravel(), gF.transpose(0, 2, 1).ravel(),
                                   minlength=y.size)
-        if not (np.isfinite(E) and np.all(np.isfinite(g_sites))):
+        if not (math.isfinite(E) and np.isfinite(g_sites).all()):
             raise DivergedEvaluation("diverged evaluation")
         g = np.empty(self.n_vars)
         g[: self.n_free * self.d].reshape(self._free_shape)[...] = self._free(g_sites)
@@ -339,14 +345,13 @@ def _line_search(problem: Problem, x, E, direction, slope):
     """
     floor = E + _ENERGY_FLOOR * (1.0 + abs(E))
 
-    def trial(t):
-        x_t = x + t * direction
+    def trial(x_t):
         try:
             return (x_t, *problem.value_and_grad(x_t))
         except DivergedEvaluation:
             return x_t, np.inf, None
 
-    x_t, E_t, g_t = trial(1.0)
+    x_t, E_t, g_t = trial(x + direction)
     evals = 1
     if E_t <= E + _ARMIJO * slope:
         return x_t, E_t, g_t, evals, 0
@@ -369,7 +374,7 @@ def _line_search(problem: Problem, x, E, direction, slope):
             if evals > _MAX_BACKTRACKS:
                 return None, E, None, evals, evals - 1
             t = 2.0 * t if hi == np.inf else 0.5 * (lo + hi)
-            x_t, E_t, g_t = trial(t)
+            x_t, E_t, g_t = trial(x + t * direction)
             evals += 1
 
     t = 1.0
@@ -392,15 +397,17 @@ class _History:
     in rows S[a] and Y[a] of a ring whose slots ``order`` lists oldest first,
     with Z[a] = P^-1 y_a beside them; where P is the identity, Z is Y itself.
     Also kept are rho_a = 1 / s_a . y_a, the newest pair's scale
-    gamma = s . y / y . z and the Gram entries SY[a, b] = s_a . y_b for
-    a older than b, the only ones the recursions read.  The initial inverse
+    gamma = s . y / y . z and the Gram entries SY[a][b] = s_a . y_b for
+    a older than b, the only ones the recursions read, in Python lists that
+    each push updates, so a direction converts none.  The initial inverse
     Hessian is H0 = gamma P^-1, which ``direction`` applies through P^-1 g
     and the rows Z, so it needs no P^-1 of its own.  A push costs one
     matrix-vector product over the n variables, a direction four."""
 
     def __init__(self, size, n, identity=True):
-        self.S, self.Y, self.SY = np.empty((size, n)), np.empty((size, n)), np.empty((size, size))
+        self.S, self.Y = np.empty((size, n)), np.empty((size, n))
         self.Z = self.Y if identity else np.empty((size, n))
+        self.SY = [[0.0] * size for _ in range(size)]
         self.rho, self.order = [0.0] * size, []
 
     def push(self, s, y, z):
@@ -414,8 +421,9 @@ class _History:
             self.S[p], self.Y[p], self.rho[p] = s, y, 1.0 / sy
             if self.Z is not self.Y:
                 self.Z[p] = z
-            self.gamma = sy / float(y @ z)
-            self.SY[:k, p] = self.S[:k] @ y
+            self.gamma = sy / (yy if z is y else float(y @ z))
+            for a, sy_a in enumerate((self.S[:k] @ y).tolist()):
+                self.SY[a][p] = sy_a
 
     def direction(self, g, pg):
         """-H g, given pg = P^-1 g, by Nocedal's two-loop recursion (Math.
@@ -426,7 +434,7 @@ class _History:
         order, rho, k = self.order, self.rho, len(self.order)
         if not k:
             return -g
-        S, Y, G = self.S[:k], self.Y[:k], self.SY[:k, :k].tolist()
+        S, Y, G = self.S[:k], self.Y[:k], self.SY
         sg = (S @ g).tolist()
         alpha = [0.0] * k
         for t, a in reversed(list(enumerate(order))):
@@ -434,7 +442,9 @@ class _History:
             for b in order[t + 1:]:
                 acc += alpha[b] * G[a][b]
             alpha[a] = -rho[a] * acc
-        q = (-pg - np.array(alpha) @ self.Z[:k]) * self.gamma
+        q = np.array(alpha) @ self.Z[:k]     # q = gamma (-pg - alpha Z), in place
+        q += pg
+        q *= -self.gamma
         yq = (Y @ q).tolist()
         c = [0.0] * k
         for t, a in enumerate(order):
@@ -442,7 +452,9 @@ class _History:
             for b in order[:t]:
                 acc += c[b] * G[b][a]
             c[a] = alpha[a] - rho[a] * acc
-        return q + np.array(c) @ S
+        d = np.array(c) @ S
+        d += q
+        return d
 
 
 def minimize(problem: Problem, opts: SolveOptions, start: Deformation, internal_start=None,
@@ -469,13 +481,13 @@ def minimize(problem: Problem, opts: SolveOptions, start: Deformation, internal_
     identity = pg is g
     history = _History(opts.history, g.size, identity)
     iterations = n_backtracks = 0
-    converged = bool(np.max(np.abs(g)) <= opts.grad_tol)
+    converged = bool(np.abs(g).max() <= opts.grad_tol)
     stop = "max_iter"
 
     while not converged and iterations < opts.max_iter:
         direction = history.direction(g, pg)
         slope = direction @ g
-        if not np.isfinite(slope) or slope >= 0:
+        if not math.isfinite(slope) or slope >= 0:
             direction = -g
             slope = -(g @ g)
             history.order.clear()
@@ -493,7 +505,7 @@ def minimize(problem: Problem, opts: SolveOptions, start: Deformation, internal_
         history.push(x_new - x, y, y if identity else pg_new - pg)
         x, E, g, pg = x_new, E_new, g_new, pg_new
         iterations += 1
-        converged = bool(np.max(np.abs(g)) <= opts.grad_tol)
+        converged = bool(np.abs(g).max() <= opts.grad_tol)
 
     return SolveResult(
         energy=E,
@@ -501,7 +513,7 @@ def minimize(problem: Problem, opts: SolveOptions, start: Deformation, internal_
         internal=problem.internal_field(x),
         iterations=iterations,
         converged=converged,
-        grad_norm=float(np.max(np.abs(g))),
+        grad_norm=float(np.abs(g).max()),
         start_label=start_label,
         stop="converged" if converged else stop,
         n_evals=n_evals,

@@ -139,6 +139,19 @@ def test_parse_non_integer_or_non_finite_rejected(tmp_path, monkeypatch, overrid
         parse_config(path)
 
 
+@pytest.mark.parametrize("task, schedule", [
+    ("tiling_check", [4]), ("tiling_check", [4, 6]), ("tiling_check", [4, 8, 10]),
+    ("homogenize", [4, 8]), ("homogenize", [4, 8, 8]), ("cb_scan", [8, 4, 12]),
+], ids=["tiling-one-entry", "tiling-not-multiple", "tiling-later-not-multiple",
+        "homogenize-two-entries", "homogenize-repeated", "cb_scan-decreasing"])
+def test_parse_rejects_schedule_the_task_cannot_use(tmp_path, task, schedule):
+    # tiling_check with [4] used to exit 0 with no check and no warning; the
+    # fit's schedule errors used to surface only after parsing
+    path = write_config(tmp_path, task=task, schedule=schedule)
+    with pytest.raises(ValueError, match="schedule"):
+        parse_config(path)
+
+
 @pytest.mark.parametrize("name", ["quadratic_form", "quasiconvex_frobenius"])
 def test_parse_bravais_model_rejects_internal_atoms(tmp_path, name):
     # the lattice's m used to be dropped: spec.m = 1 under a model with m = 0

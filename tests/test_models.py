@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cellhom import (MatrixDensity, QuadraticForm, build_grid, build_lattice,
+from cellhom import (MatrixDensity, PairPotential, QuadraticForm, build_grid, build_lattice,
                      frobenius_squared_density, harmonic_pair, harmonic_spring_model,
                      lennard_jones, multilattice_harmonic_model,
                      pair_potential_model, quadratic_form_model,
@@ -132,6 +132,21 @@ def test_bond_kernel_ignores_layout(square_spec, harmonic, rng):
                 assert np.array_equal(E, outs[0][0]) and np.array_equal(gF, outs[0][1][0])
             for E in energies:
                 assert np.array_equal(E, outs[0][0])
+
+
+def test_value_and_deriv_equals_value_and_deriv_calls(harmonic, multilattice, rng):
+    # the gradient path takes phi and phi' from one fused call, the
+    # energy-only path phi from ``value``: each built-in must agree to the bit
+    rho = rng.uniform(0.2, 3.0, (40, 3))
+    r = rng.choice([1.0, np.sqrt(2.0), 2.0], size=rho.shape)
+    potentials = [lennard_jones(1.0, 2 ** (-1 / 6)), lennard_jones(0.7, 1.3),
+                  harmonic_pair(1.5, 1.1), harmonic_pair(1.0, 1.1, shell=1.0),
+                  harmonic.potential, multilattice.potential,
+                  PairPotential(lambda r, rho: np.cos(rho), lambda r, rho: -np.sin(rho), None)]
+    for potential in potentials:
+        V, dV = potential.value_and_deriv(r, rho)
+        assert np.array_equal(V, potential.value(r, rho)), potential.name
+        assert np.array_equal(dV, potential.deriv(r, rho)), potential.name
 
 
 def test_cell_kernels_round_per_value_not_layout(square_spec, multilattice, rng):

@@ -199,6 +199,34 @@ def test_bond_path_matches_cell_sum(lattice, potential, cutoff, N, harmonic, rng
         assert problem.energy_only(x) == E
 
 
+@pytest.mark.parametrize("potential, cutoff, N", [
+    (None, None, 16),                                            # harmonic springs
+    (LJ, 2.5, 12),
+    (harmonic_pair(1.0, 1.1, shell=1.0), 1.5, 10),               # per-bond rest lengths
+], ids=["harmonic", "lj", "pair_harmonic_shell"])
+def test_moving_bonds_match_the_full_table(potential, cutoff, N, square_spec, harmonic, rng):
+    # the kernel sees only the bonds with a free end, the energies of those
+    # joining two pinned sites being fixed at assembly: the energy, energy_only
+    # and the free-site gradient equal the full sample table's to the bit
+    model = harmonic if potential is None else pair_potential_model(square_spec, potential, cutoff)
+    M = np.array([[1.05, 0.05], [0.0, 0.97]])
+    problem = Problem(build_grid(model.spec, N), model, M)
+    full = model._sample_bonds(problem.cell_sites)
+    free = problem.grid.free_mask
+    moving = free[full[0]] | free[full[1]]
+    assert 0 < moving.sum() < len(moving)
+    assert all(np.array_equal(a, b[moving]) for a, b in zip(problem._moving, full))
+    for _ in range(3):
+        x = problem.pack(affine_deformation(problem.grid, M))
+        x = x + 0.05 * rng.standard_normal(x.shape)
+        F = problem.unpack(x)[0].T[None]
+        E_ref, (gF, _) = model._energy_gradient(F, None, full)
+        E, g = problem.value_and_grad(x)
+        assert E == E_ref[0]
+        assert problem.energy_only(x) == model._energy(F, None, full)[0]
+        assert np.array_equal(g, gF[0].T[problem.free_idx].ravel())
+
+
 def test_bond_table_weights(square_spec, harmonic):
     grid = build_grid(square_spec, 6)
     r, n = grid.spec.radius, 6 - 2 * grid.spec.radius   # interior cells: an n-box
