@@ -68,16 +68,20 @@ def pair_elastic_tensor(potential, lattice: LatticeSpec, cutoff: float) -> Elast
     + V'(|x|) (x_j x_l delta_ik / |x| - x_i x_j x_k x_l / |x|^3).
 
     V' and V'' are the radial derivatives of the ``PairPotential`` at rest,
-    ``potential.deriv(r, r)`` and ``potential.deriv2(r, r)``: the bond
-    models read phi' from the same object.  The convention matches the
-    ordered-pair lattice sum W(M) = sum_{x != 0} V(|Mx|) / |det A|.
+    ``potential.value_and_deriv(r, r)[1]`` and ``potential.deriv2(r, r)``:
+    the bond models read phi' from the same object.  A potential with a
+    ``shell`` sums over the vectors of that length only, as its pair model
+    does.  The convention matches the ordered-pair lattice sum
+    W(M) = sum_{x != 0} V(|Mx|) / |det A|.
     """
     _, pts = lattice_vectors_within(lattice, cutoff)
+    r = np.linalg.norm(pts, axis=1)
+    keep = potential.on_shell(r)
+    pts, r = pts[keep], r[keep]
     if len(pts) == 0:
         raise ValueError("empty shell set within the cutoff")
     d = lattice.d
-    r = np.linalg.norm(pts, axis=1)
-    v1 = np.asarray(potential.deriv(r, r), dtype=float)
+    v1 = np.asarray(potential.value_and_deriv(r, r)[1], dtype=float)
     v2 = np.asarray(potential.deriv2(r, r), dtype=float)
     xxxx = np.einsum("ni,nj,nk,nl->nijkl", pts, pts, pts, pts)
     term = v2[:, None, None, None, None] * xxxx / (r**2)[:, None, None, None, None]

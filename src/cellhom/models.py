@@ -19,9 +19,10 @@ layout is copied first.  They add rows one by one in index order, as in
 order follows the layout and the batch size: results depend on values alone.
 
 Bond models are one family: each holds a ``PairPotential`` and evaluates
-any batch over a bond table of its columns, phi = V_r(|b|) once per bond,
-or phi and phi' from one ``value_and_deriv`` pass: column pairs i, j,
-weights w and reference lengths r.  Harmonic springs are the pair model of
+any batch over a bond table of its columns, phi = V_r(|b|) and phi' from
+one ``value_and_deriv`` pass per bond: column pairs i, j, weights w and
+reference lengths r.  A potential restricted to one shell keeps only that
+shell's bonds in its table.  Harmonic springs are the pair model of
 ``harmonic_pair(2k, r0)`` at cutoff 1.  The internal shifts S are the
 columns after the stencil's, so the multilattice model's one table holds
 the cell's edges and the arms from its corners to the internal atom.  A
@@ -152,11 +153,11 @@ class EnergyModel:
 
 
 class _BondModel(EnergyModel):
-    """Energy as a weighted sum of V_r(|b|) = ``potential.value(r, |b|)``
-    over the bond vectors b = X[:, :, j] - X[:, :, i] of a bond table, r the
-    bond's reference length and X = [F | S], the shifts after the stencil
-    columns; ``table`` holds one cell's bonds.  Pair models also carry
-    their ``cutoff``.
+    """Energy as a weighted sum of V_r(|b|), ``potential.value_and_deriv(r,
+    |b|)[0]``, over the bond vectors b = X[:, :, j] - X[:, :, i] of a bond
+    table, r the bond's reference length and X = [F | S], the shifts after
+    the stencil columns; ``table`` holds one cell's bonds.  Pair models also
+    carry their ``cutoff``.
     """
 
     def __init__(self, name, spec, potential, bonds, weights, rest, **meta):
@@ -195,7 +196,7 @@ class _BondModel(EnergyModel):
             L = np.sqrt(np.einsum("ka,ka->k", b, b))
             u2 = np.square(b / L[:, None])
             K = (self.potential.deriv2(rest, L)[:, None] * u2
-                 + (self.potential.deriv(rest, L) / L)[:, None] * (1.0 - u2))
+                 + (self.potential.value_and_deriv(rest, L)[1] / L)[:, None] * (1.0 - u2))
             c = K.T @ (w[:, None] * delta**2)
         if np.all(np.isfinite(c)) and c.min() >= 0 and np.all(c.max(axis=1) > 0):
             return c
@@ -210,7 +211,7 @@ class _BondModel(EnergyModel):
         fixed = _BondTable(c[~keep] for c in bonds)
         L = self._bonds(y.T[None], None, fixed)[1]
         V = np.empty(len(keep))
-        V[~keep] = self.potential.value(fixed[3][:, None], L)[:, 0]
+        V[~keep] = self.potential.value_and_deriv(fixed[3][:, None], L)[0][:, 0]
         return _MovingBonds(bonds, keep, V)
 
     def _bonds(self, F, S, table):
@@ -231,11 +232,10 @@ class _BondModel(EnergyModel):
             raise ValueError("multilattice model needs an internal shift s")
         table = self.table if bonds is None else bonds
         b, L, (I, J), shape = self._bonds(F, S, table)
-        rest = table[3][:, None]
-        if not grad:
-            return table.energy(self.potential.value(rest, L))
-        V, dV = self.potential.value_and_deriv(rest, L)
+        V, dV = self.potential.value_and_deriv(table[3][:, None], L)
         E = table.energy(V)
+        if not grad:
+            return E
         coef = table[2][:, None] * dV
         if L.min(initial=np.inf) > _ZERO_BOND:
             coef /= L
@@ -261,26 +261,29 @@ class _BondTable(tuple):
             cached = self._flat = (shape, tuple(rows + rows.size * e[:, None] for e in self[:2]))
         return cached[1]
 
-    def energy(self, V):
-        """The energies of a batch from its bond energies V (n_bonds, B): one
-        dot per cell, so a cell's energy does not depend on its batch."""
-        return (np.ascontiguousarray(V.T)[:, None, :] @ self[2][:, None])[:, 0, 0]
+    def energy(self, V, w=None):
+        """The energies of a batch from its bond energies V (n_bonds, B) and
+        weights w, the table's own by default: one dot per cell, so a cell's
+        energy does not depend on its batch."""
+        w = self[2] if w is None else w
+        return (np.ascontiguousarray(V.T)[:, None, :] @ w[:, None])[:, 0, 0]
 
 
 class _MovingBonds(_BondTable):
-    """The rows ``keep`` of a one-entry sample table ``full``, beside V, the
-    energies of all of its bonds in table order.  ``energy`` writes the kept
-    bonds' energies into V and takes the full table's dot, so the others'
-    stay as they were set and the sum is the full table's bit for bit."""
+    """The rows ``keep`` of a one-entry sample table ``full``, beside that
+    table's weights w and V, the energies of all of its bonds in table
+    order; the rest of ``full`` is not kept.  ``energy`` writes the kept
+    bonds' energies into V and takes the dot with w, so the others' stay as
+    they were set and the sum is the full table's bit for bit."""
 
     def __new__(cls, full, keep, V):
         table = super().__new__(cls, (c[keep] for c in full))
-        table.full, table.keep, table.V = full, keep, V
+        table.w, table.keep, table.V = full[2], keep, V
         return table
 
     def energy(self, V):
         self.V[self.keep] = V.ravel()
-        return self.full.energy(self.V[:, None])
+        return super().energy(self.V[:, None], self.w)
 
 
 def _cell_edges(d: int) -> np.ndarray:
@@ -293,82 +296,65 @@ def _cell_edges(d: int) -> np.ndarray:
 class PairPotential:
     """A family of radial potentials V_r(rho) indexed by the shell radius.
 
-    ``value(r, rho)`` is the energy of a bond of rest length r stretched
-    to length rho; ``deriv``/``deriv2`` differentiate in rho.
-    ``value_and_deriv(r, rho)`` returns ``(value(r, rho), deriv(r, rho))``
-    bit for bit, in one pass over what the two share; without one, it calls
-    both.  All callables must broadcast over numpy arrays.  ``nonnegative``
-    marks families with V >= 0 so downstream checks may rely on a
-    nonnegative total energy.
+    ``value_and_deriv(r, rho)`` returns the energy of a bond of rest length
+    r stretched to length rho and its derivative in rho, ``(V, V')``, in one
+    pass over what the two share; ``deriv2`` is V''.  Both must broadcast
+    over numpy arrays.  ``nonnegative`` marks families with V >= 0 so
+    downstream checks may rely on a nonnegative total energy.  ``shell``,
+    when set, restricts the family to the bonds of that rest length: pair
+    models and the elastic lattice sum keep only the lattice vectors with
+    |r - shell| < 1e-9.
     """
 
-    value: Callable
-    deriv: Callable
+    value_and_deriv: Callable
     deriv2: Callable
     name: str = "pair"
     nonnegative: bool = False
-    value_and_deriv: Optional[Callable] = None
+    shell: Optional[float] = None
 
-    def __post_init__(self):
-        if self.value_and_deriv is None:
-            object.__setattr__(self, "value_and_deriv",
-                               lambda r, rho: (self.value(r, rho), self.deriv(r, rho)))
+    def on_shell(self, r):
+        """Mask of the rest lengths r (an array) that this potential acts on."""
+        return np.full(r.shape, True) if self.shell is None else np.abs(r - self.shell) < 1e-9
 
 
 def lennard_jones(epsilon=1.0, sigma=1.0) -> PairPotential:
     """4*eps*((sigma/rho)^12 - (sigma/rho)^6), minimum at 2^(1/6)*sigma."""
 
-    def value(r, rho):
+    def value_and_deriv(r, rho):
         x = (sigma / rho) ** 6
-        return 4.0 * epsilon * (x * x - x)
-
-    def deriv(r, rho):
-        x = (sigma / rho) ** 6
-        return 4.0 * epsilon * (-12.0 * x * x + 6.0 * x) / rho
+        return 4.0 * epsilon * (x * x - x), 4.0 * epsilon * (-12.0 * x * x + 6.0 * x) / rho
 
     def deriv2(r, rho):
         x = (sigma / rho) ** 6
         return 4.0 * epsilon * (156.0 * x * x - 42.0 * x) / rho**2
 
-    def value_and_deriv(r, rho):
-        x = (sigma / rho) ** 6
-        return 4.0 * epsilon * (x * x - x), 4.0 * epsilon * (-12.0 * x * x + 6.0 * x) / rho
-
-    return PairPotential(value, deriv, deriv2, name="lennard-jones",
-                         value_and_deriv=value_and_deriv)
+    return PairPotential(value_and_deriv, deriv2, name="lennard-jones")
 
 
 def harmonic_pair(k=1.0, r0=1.0, shell=None) -> PairPotential:
-    """(k/2)(rho - r0)^2, optionally restricted to one shell radius."""
-
-    def sel(r):     # the shell's indicator; without a shell the plain factor 1.0
-        if shell is None:
-            return 1.0
-        return (np.abs(np.asarray(r, dtype=float) - shell) < 1e-9).astype(float)
+    """(k/2)(rho - r0)^2, optionally restricted to the bonds of rest length
+    ``shell``."""
 
     def value_and_deriv(r, rho):
-        s, stretch = sel(r), np.asarray(rho, dtype=float) - r0
-        return s * 0.5 * k * stretch ** 2, s * k * stretch
+        stretch = np.asarray(rho, dtype=float) - r0
+        return 0.5 * k * stretch ** 2, k * stretch
 
-    return PairPotential(
-        value=lambda r, rho: sel(r) * 0.5 * k * (np.asarray(rho, dtype=float) - r0) ** 2,
-        deriv=lambda r, rho: sel(r) * k * (np.asarray(rho, dtype=float) - r0),
-        deriv2=lambda r, rho: sel(r) * k * np.ones_like(np.asarray(rho, dtype=float)),
-        name="harmonic-pair",
-        nonnegative=True,
-        value_and_deriv=value_and_deriv,
-    )
+    return PairPotential(value_and_deriv,
+                         lambda r, rho: k * np.ones_like(np.asarray(rho, dtype=float)),
+                         name="harmonic-pair", nonnegative=True, shell=shell)
 
 
 def pair_potential_model(spec: LatticeSpec, potential: PairPotential,
                          cutoff: float) -> EnergyModel:
     """Finite-range pair interactions split over cells.
 
-    Every unordered pair of stencil sites within ``cutoff`` becomes a bond
-    whose energy is divided by the number of cells containing the pair in
-    the bulk, so summing over interior cells counts each lattice bond once
+    Every unordered pair of stencil sites within ``cutoff`` (and, for a
+    potential with a ``shell``, at that distance) becomes a bond whose
+    energy is divided by the number of cells containing the pair in the
+    bulk, so summing over interior cells counts each lattice bond once
     (boundary cells that are missing are not compensated).  The returned
-    model carries a fresh spec whose stencil radius covers the cutoff.
+    model carries a fresh spec whose stencil radius covers the cutoff, with
+    or without a shell.  Raises ``ValueError`` when no bond is left.
 
     Note the bulk normalization: each unordered bond contributes one V, so
     the Cauchy-Born density of this model is half the ordered-pair lattice
@@ -389,7 +375,9 @@ def pair_potential_model(spec: LatticeSpec, potential: PairPotential,
     i, j = np.triu_indices(len(off), k=1)
     b = pos[i] - pos[j]
     r = np.sqrt((b[:, None, :] @ b[:, :, None])[:, 0, 0])   # rounds as norm(b[p]) does
-    bond = r <= cutoff + 1e-12
+    bond = (r <= cutoff + 1e-12) & potential.on_shell(r)
+    if not bond.any():
+        raise ValueError(f"no bond of rest length {potential.shell} within the cutoff {cutoff}")
     i, j, r = i[bond], j[bond], r[bond]
     # The cells c whose stencil holds both sites number, per axis,
     # 2 * radius - |off_i - off_j| (both off - c must lie in {-R..R+1}).
@@ -751,9 +739,8 @@ def multilattice_harmonic_model(spec: LatticeSpec, k: float, r0: float) -> Energ
         stretch = rho - r
         return 0.5 * k * stretch ** 2, k * stretch
 
-    spring = PairPotential(lambda r, rho: 0.5 * k * (rho - r) ** 2, lambda r, rho: k * (rho - r),
-                           lambda r, rho: k * np.ones_like(rho), name="harmonic-pair",
-                           nonnegative=True, value_and_deriv=value_and_deriv)
+    spring = PairPotential(value_and_deriv, lambda r, rho: k * np.ones_like(rho),
+                           name="harmonic-pair", nonnegative=True)
     bonds = np.concatenate((_cell_edges(2), [(j, 4) for j in range(4)]))
     return _BondModel("multilattice-harmonic", spec, spring, bonds, np.ones(8),
                       [1.0] * 4 + [r0] * 4, m=1, nonnegative=True, frame_indifferent=True,

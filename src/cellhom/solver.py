@@ -128,11 +128,12 @@ class Problem:
     """Assembled cell problem: grid + model + affine boundary data.
 
     A start must carry the pinned values of ``affine_deformation`` bit for
-    bit; all evaluations go through ``_evaluate``.  ``bonds`` is the bond
-    table of the whole sample, None for models evaluated cell by cell; the
-    kernel reads ``_moving``, its bonds with a free end, which holds the
-    energies of the others, taken once from the datum, so that the energy
-    is the whole table's bit for bit and so are the free sites' gradients.
+    bit; all evaluations go through ``_evaluate``.  ``bonds`` is the table
+    the kernel reads, None for models evaluated cell by cell: of the whole
+    sample's bonds, those with a free end.  It holds the energies of the
+    others, taken once from the datum, and the whole table's weights, so
+    that the energy is the whole table's bit for bit and so are the free
+    sites' gradients.
     ``preconditioner`` names P: "laplacian" on the cell route, "stiffness"
     on the bond route where the stiffness weights qualify, else "identity".
     Kernels read batch-last memory: the problem's site buffer y itself as
@@ -157,7 +158,7 @@ class Problem:
         self.free_idx = np.nonzero(grid.free_mask)[0]
         self.cell_sites = grid.interior_cell_sites
         self.n_cells = self.cell_sites.shape[0]
-        self.bonds = model._sample_bonds(self.cell_sites)
+        bonds = model._sample_bonds(self.cell_sites)
         # the sites the kernel reads: the affine datum, whose free sites, the
         # cube [r + 1, N - 1 - r]^d, each evaluation overwrites in place
         N, r = grid.N, grid.spec.radius
@@ -171,13 +172,14 @@ class Problem:
         i, j = self.cell_sites[:, a].ravel(), self.cell_sites[:, b].ravel()
         held = grid.free_mask[i] | grid.free_mask[j]
         self._pairs = i[held], j[held]
-        if self.bonds is None:          # flat indices of the cells' sites in y
+        if bonds is None:               # flat indices of the cells' sites in y
             self._scatter = self.d * self.cell_sites[:, :, None] + np.arange(self.d)
             self._gather = np.ascontiguousarray(self._scatter.transpose(1, 2, 0))
             weights = np.ones((1, self.d))  # one graph Laplacian for every coordinate
             self.preconditioner = "laplacian"
+            self.bonds = None
         else:
-            self._moving = model._moving_bonds(self.bonds, grid.free_mask, self._sites)
+            self.bonds = model._moving_bonds(bonds, grid.free_mask, self._sites)
             weights = model._stiffness(self.M)
             self.preconditioner = "identity" if weights is None else "stiffness"
         self._sine = None
@@ -228,12 +230,6 @@ class Problem:
             s = s - s.mean(axis=1, keepdims=True) + self.s0.T.reshape(-1, 1)
         return s.reshape(self.m, self.d, self.n_cells).T
 
-    def deformation(self, x) -> Deformation:
-        return Deformation(self.grid, self.unpack(x)[0])
-
-    def internal_field(self, x):
-        return self.unpack(x)[1]
-
     def start_vector(self, deformation: Deformation, internal=None):
         pinned = ~self.grid.free_mask
         if not np.array_equal(deformation.y[pinned], self._sites[pinned]):
@@ -257,7 +253,7 @@ class Problem:
         self._put(y, x)
         if self.bonds is not None:
             kernel = self.model._energy_gradient if grad else self.model._energy
-            out = kernel(y.T[None], s, self._moving)     # F: (1, d, n_sites)
+            out = kernel(y.T[None], s, self.bonds)       # F: (1, d, n_sites)
         else:
             F = y.take(self._gather).transpose(2, 1, 0)  # (C, d, n_cols)
             out = self.model._cells(F, s, grad)
@@ -474,9 +470,9 @@ def minimize(problem: Problem, opts: SolveOptions, start: Deformation, internal_
     E, g = problem.value_and_grad(x)
     n_evals = 1
     if g.size == 0:
-        return SolveResult(E, problem.deformation(x), problem.internal_field(x),
-                           0, True, 0.0, start_label, "converged", n_evals,
-                           wall_s=time.perf_counter() - t0)
+        y, s = problem.unpack(x)
+        return SolveResult(E, Deformation(problem.grid, y), s, 0, True, 0.0, start_label,
+                           "converged", n_evals, wall_s=time.perf_counter() - t0)
     pg = problem.precondition(g) if opts.history else g
     identity = pg is g
     history = _History(opts.history, g.size, identity)
@@ -507,10 +503,11 @@ def minimize(problem: Problem, opts: SolveOptions, start: Deformation, internal_
         iterations += 1
         converged = bool(np.abs(g).max() <= opts.grad_tol)
 
+    y, s = problem.unpack(x)
     return SolveResult(
         energy=E,
-        argmin=problem.deformation(x),
-        internal=problem.internal_field(x),
+        argmin=Deformation(problem.grid, y),
+        internal=s,
         iterations=iterations,
         converged=converged,
         grad_norm=float(np.abs(g).max()),

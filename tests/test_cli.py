@@ -161,6 +161,14 @@ def test_parse_bravais_model_rejects_internal_atoms(tmp_path, name):
         parse_config(path)
 
 
+@pytest.mark.parametrize("shell", [1.2, 2.0])
+def test_parse_pair_shell_without_bonds_rejected(tmp_path, shell):
+    # a shell that holds no bond within the cutoff would be a zero model
+    model = {"name": "pair_harmonic", "params": {"cutoff": 1.5, "shell": shell}}
+    with pytest.raises(ValueError, match="no bond"):
+        parse_config(write_config(tmp_path, model=model))
+
+
 def test_parse_missing_field(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"model": {"name": "harmonic"}, "task": "homogenize"}))

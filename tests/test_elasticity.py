@@ -12,7 +12,7 @@ from cellhom.elasticity import ElasticTensor
 def radial(deriv, deriv2):
     """A PairPotential with the given derivatives at rest, as callables of
     the radius (its value is never read)."""
-    return PairPotential(value=None, deriv=lambda r, rho: deriv(rho),
+    return PairPotential(value_and_deriv=lambda r, rho: (None, deriv(rho)),
                          deriv2=lambda r, rho: deriv2(rho))
 
 
@@ -76,6 +76,19 @@ def test_pair_swap_symmetries_hold_for_any_potential():
 def test_empty_shell_set(square_spec):
     with pytest.raises(ValueError, match="empty shell"):
         pair_elastic_tensor(radial(lambda r: r, lambda r: r), square_spec, 0.5)
+
+
+@pytest.mark.parametrize("shell", [1.2, 2.0])
+def test_empty_shell_on_the_cutoff(square_spec, shell):
+    with pytest.raises(ValueError, match="empty shell"):
+        pair_elastic_tensor(harmonic_pair(1.0, 1.0, shell=shell), square_spec, 1.5)
+
+
+def test_shell_tensor_is_the_smaller_cutoff_tensor(square_spec):
+    # the unit shell at cutoff 1.5 sums the nearest neighbours only
+    shell = pair_elastic_tensor(harmonic_pair(1.0, 1.1, shell=1.0), square_spec, 1.5)
+    near = pair_elastic_tensor(harmonic_pair(1.0, 1.1), square_spec, 1.0)
+    assert np.array_equal(shell.c, near.c)
 
 
 def test_numeric_quadratic_density():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cellhom import (MatrixDensity, PairPotential, QuadraticForm, build_grid, build_lattice,
+from cellhom import (MatrixDensity, QuadraticForm, build_grid, build_lattice,
                      frobenius_squared_density, harmonic_pair, harmonic_spring_model,
                      lennard_jones, multilattice_harmonic_model,
                      pair_potential_model, quadratic_form_model,
@@ -84,7 +84,7 @@ def brute_force_pair_energy(model, grid, y):
         delta = tuple(grid.site_multi[b] - grid.site_multi[a])
         nb = bulk_count(delta)
         length = np.linalg.norm(y[a] - y[b])
-        total += covered / nb * float(model.potential.value(r, length))
+        total += covered / nb * float(model.potential.value_and_deriv(r, length)[0])
     return total
 
 
@@ -134,19 +134,22 @@ def test_bond_kernel_ignores_layout(square_spec, harmonic, rng):
                 assert np.array_equal(E, outs[0][0])
 
 
-def test_value_and_deriv_equals_value_and_deriv_calls(harmonic, multilattice, rng):
-    # the gradient path takes phi and phi' from one fused call, the
-    # energy-only path phi from ``value``: each built-in must agree to the bit
-    rho = rng.uniform(0.2, 3.0, (40, 3))
-    r = rng.choice([1.0, np.sqrt(2.0), 2.0], size=rho.shape)
+def test_potential_derivatives_match_central_differences(harmonic, multilattice, rng):
+    # phi' against central differences of phi, phi'' against those of phi',
+    # for every built-in potential; no other test reads LJ's phi''
+    rho = rng.uniform(0.8, 2.6, 200)
+    r = rng.choice([np.sqrt(0.5), 1.0, np.sqrt(2.0)], size=rho.shape)
+    h = 1e-5 * rho
     potentials = [lennard_jones(1.0, 2 ** (-1 / 6)), lennard_jones(0.7, 1.3),
                   harmonic_pair(1.5, 1.1), harmonic_pair(1.0, 1.1, shell=1.0),
-                  harmonic.potential, multilattice.potential,
-                  PairPotential(lambda r, rho: np.cos(rho), lambda r, rho: -np.sin(rho), None)]
+                  harmonic.potential, multilattice.potential]
     for potential in potentials:
-        V, dV = potential.value_and_deriv(r, rho)
-        assert np.array_equal(V, potential.value(r, rho)), potential.name
-        assert np.array_equal(dV, potential.deriv(r, rho)), potential.name
+        dV = potential.value_and_deriv(r, rho)[1]
+        (V_up, dV_up), (V_down, dV_down) = (potential.value_and_deriv(r, rho + h),
+                                            potential.value_and_deriv(r, rho - h))
+        assert np.allclose((V_up - V_down) / (2 * h), dV, rtol=1e-6, atol=1e-6), potential.name
+        assert np.allclose((dV_up - dV_down) / (2 * h), potential.deriv2(r, rho),
+                           rtol=1e-6, atol=1e-6), potential.name
 
 
 def test_cell_kernels_round_per_value_not_layout(square_spec, multilattice, rng):
@@ -229,8 +232,27 @@ def test_pair_affine_matches_shell_sum(square_spec):
             v = np.array([float(i), float(j)])
             r = np.linalg.norm(v)
             if 0 < r <= cutoff + 1e-12:
-                shell += float(pot.value(r, np.linalg.norm(M @ v)))
+                shell += float(pot.value_and_deriv(r, np.linalg.norm(M @ v))[0])
     assert cell_energy == pytest.approx(0.5 * shell, rel=1e-12)
+
+
+@pytest.mark.parametrize("shell", [1.2, 2.0])
+def test_pair_shell_without_bonds_rejected(square_spec, shell):
+    # no lattice vector is 1.2 long, and those 2.0 long lie beyond the cutoff
+    with pytest.raises(ValueError, match="no bond"):
+        pair_potential_model(square_spec, harmonic_pair(1.0, 1.0, shell=shell), 1.5)
+
+
+def test_shell_model_is_the_smaller_cutoff_model(square_spec):
+    # the bonds off the shell are cut when the table is built, so the unit
+    # shell at cutoff 1.5 is the cutoff-1 model, cell table and sample table
+    shell = pair_potential_model(square_spec, harmonic_pair(1.0, 1.1, shell=1.0), 1.5)
+    near = pair_potential_model(square_spec, harmonic_pair(1.0, 1.1), 1.0)
+    assert shell.spec.n_cols == near.spec.n_cols
+    assert all(np.array_equal(a, b) for a, b in zip(shell.table, near.table))
+    cells = build_grid(near.spec, 8).interior_cell_sites
+    assert all(np.array_equal(a, b) for a, b in zip(shell._sample_bonds(cells),
+                                                     near._sample_bonds(cells)))
 
 
 def test_pair_cutoff_too_small(square_spec):

@@ -215,7 +215,7 @@ def test_moving_bonds_match_the_full_table(potential, cutoff, N, square_spec, ha
     free = problem.grid.free_mask
     moving = free[full[0]] | free[full[1]]
     assert 0 < moving.sum() < len(moving)
-    assert all(np.array_equal(a, b[moving]) for a, b in zip(problem._moving, full))
+    assert all(np.array_equal(a, b[moving]) for a, b in zip(problem.bonds, full))
     for _ in range(3):
         x = problem.pack(affine_deformation(problem.grid, M))
         x = x + 0.05 * rng.standard_normal(x.shape)
@@ -233,8 +233,9 @@ def test_bond_table_weights(square_spec, harmonic):
     springs = pair_potential_model(square_spec, harmonic_pair(2.0, 1.0, shell=1.0), 1.0)
     # harmonic springs are the shell-harmonic pair model, table for table
     assert all(np.array_equal(a, b) for a, b in zip(
-        Problem(grid, harmonic, np.eye(2)).bonds, Problem(grid, springs, np.eye(2)).bonds))
-    i, j, w, _ = Problem(grid, springs, np.eye(2)).bonds
+        harmonic._sample_bonds(grid.interior_cell_sites),
+        springs._sample_bonds(grid.interior_cell_sites)))
+    i, j, w, _ = springs._sample_bonds(grid.interior_cell_sites)
     assert np.all(i < j) and len(set(zip(i, j))) == len(i)
     assert len(i) == 2 * n * (n + 1)      # every nearest-neighbour pair once
     # a pair on a face of the interior-cell box is held by one interior
@@ -245,7 +246,7 @@ def test_bond_table_weights(square_spec, harmonic):
     assert np.array_equal(w, np.where(face, 0.5, 1.0))
     lj = pair_potential_model(square_spec, LJ, 2.5)
     problem = Problem(build_grid(lj.spec, 7), lj, np.eye(2))
-    w = problem.bonds[2]
+    w = lj._sample_bonds(problem.cell_sites)[2]
     assert w.sum() == pytest.approx(problem.n_cells * lj.weights.sum(), rel=1e-12)
     assert w.max() == pytest.approx(1.0, rel=1e-12)
     # each one-cell weight is 1 / (number of cells whose stencil holds the
@@ -594,11 +595,10 @@ class FloorProblem:
     def precondition(self, v):
         return v
 
-    def deformation(self, x):
-        return x.copy()
+    grid = None
 
-    def internal_field(self, x):
-        return None
+    def unpack(self, x):
+        return x.copy(), None
 
 
 def test_slope_search_steps_past_diverged_trial():
@@ -606,7 +606,7 @@ def test_slope_search_steps_past_diverged_trial():
     # meets the approximate Wolfe conditions
     res = minimize(FloorProblem((1.4, 1.6)), FAST, None)
     assert res.stop == "converged"
-    assert np.allclose(res.argmin, 1.0)
+    assert np.allclose(res.argmin.y, 1.0)
 
 
 def test_slope_search_stalls_when_every_trial_diverges():
@@ -614,7 +614,7 @@ def test_slope_search_stalls_when_every_trial_diverges():
     assert res.stop == "line_search_stall"
     assert not res.converged
     assert res.iterations == 0
-    assert np.all(np.isfinite(res.argmin))
+    assert np.all(np.isfinite(res.argmin.y))
     assert res.n_evals == 2 + solver._MAX_BACKTRACKS   # start, unit step, cap
     assert res.n_backtracks == solver._MAX_BACKTRACKS
 
