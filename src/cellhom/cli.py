@@ -102,10 +102,18 @@ def _build_model(name, params, spec):
     return model
 
 
+def _finite(text):
+    """A JSON number or constant (NaN, Infinity) as a float, if it is finite."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"config numbers must be finite, got {text}")
+    return value
+
+
 def parse_config(path) -> RunConfig:
     """Load and validate a run config; fills documented defaults."""
     with open(path) as fh:
-        raw = json.load(fh)
+        raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "config")

@@ -7,10 +7,10 @@ internal shift s (d x m).  All built-ins are translation invariant by
 construction: the corner-block mean is subtracted from every column on
 entry, so adding the same vector to each column never changes the energy.
 
-Each model defines one method, ``_evaluate(F, S, grad, bonds)``, which
-returns the energies of a batch of centred cells and, with ``grad``, also
-the gradient ``(dE/dF, dE/dS)``; an energy-only call returns before any
-gradient is assembled.  The single-cell API wraps batches of one.
+Each model defines one method, ``_evaluate(F, S, bonds)``, which returns
+the energies of a batch of centred cells together with their gradient
+``(dE/dF, dE/dS)``; an energy is never evaluated without its gradient.
+The single-cell API wraps batches of one.
 
 Kernels read a batch F (B, d, n_cols) in batch-last memory: its transpose
 (n_cols, d, B) is C-contiguous, each F[:, a, j] a contiguous row; another
@@ -129,16 +129,17 @@ class EnergyModel:
     # -- kernel entry points on centred batches -----------------------------
 
     def _energy(self, F, S, bonds=None):
-        return self._evaluate(F, S, False, bonds)
+        return self._evaluate(F, S, bonds)[0]
 
     def _energy_gradient(self, F, S, bonds=None):
-        return self._evaluate(F, S, True, bonds)
+        return self._evaluate(F, S, bonds)
 
-    def _evaluate(self, F, S, grad, bonds=None):
-        """Energies E of centred cells F (B, d, n_cols) with shifts S (B, d, m)
-        or None; with ``grad``, (E, (dE/dF, dE/dS)) instead.  ``bonds``, a
-        bond table over the columns of F, is read by pair-bond models only.
-        F is read through ``_rows(F)``; dE/dF is returned batch-last too."""
+    def _evaluate(self, F, S, bonds=None):
+        """(E, (dE/dF, dE/dS)): the energies E of centred cells F (B, d,
+        n_cols) with shifts S (B, d, m) or None, and their gradient, dE/dS
+        None without shifts.  ``bonds``, a bond table over the columns of F,
+        is read by pair-bond models only.  F is read through ``_rows(F)``;
+        dE/dF is returned batch-last too."""
         raise NotImplementedError
 
     def _sample_bonds(self, cell_sites):
@@ -227,15 +228,13 @@ class _BondModel(EnergyModel):
         del T, flat
         return b, np.sqrt(np.einsum("akb,akb->kb", b, b)), (I, J), shape
 
-    def _evaluate(self, F, S, grad, bonds=None):
+    def _evaluate(self, F, S, bonds=None):
         if self.m and S is None:
             raise ValueError("multilattice model needs an internal shift s")
         table = self.table if bonds is None else bonds
         b, L, (I, J), shape = self._bonds(F, S, table)
         V, dV = self.potential.value_and_deriv(table[3][:, None], L)
         E = table.energy(V)
-        if not grad:
-            return E
         coef = table[2][:, None] * dV
         if L.min(initial=np.inf) > _ZERO_BOND:
             coef /= L
@@ -397,8 +396,8 @@ def harmonic_spring_model(spec: LatticeSpec, k: float, r0: float) -> EnergyModel
     pair model of ``harmonic_pair(2k, r0)`` at cutoff 1, whose edges each
     weigh 1/2 per cell.
     """
-    if k <= 0 or r0 <= 0:
-        raise ValueError("spring stiffness and rest length must be positive")
+    if not (0 < k < np.inf and 0 < r0 < np.inf):      # NaN fails too
+        raise ValueError("spring stiffness and rest length must be positive and finite")
     if spec.d != 2 or not np.allclose(spec.A, np.eye(2)) or spec.n_cols != 4:
         raise ValueError("harmonic spring model requires the 2D unit square lattice")
     k, r0 = float(k), float(r0)
@@ -415,7 +414,7 @@ def harmonic_spring_model(spec: LatticeSpec, k: float, r0: float) -> EnergyModel
 
 @dataclass(frozen=True)
 class MatrixDensity:
-    """A continuum density V on d x d matrices with optional gradient.
+    """A continuum density V on d x d matrices and its gradient.
 
     ``value`` maps (..., d, d) arrays to (...); ``grad`` maps them to
     (..., d, d).  ``p`` is the declared growth exponent and ``growth`` the
@@ -423,7 +422,7 @@ class MatrixDensity:
     """
 
     value: Callable
-    grad: Optional[Callable] = None
+    grad: Callable
     p: float = 2.0
     growth: Optional[tuple] = None
     name: str = "density"
@@ -474,15 +473,11 @@ class QuasiconvexWrapperModel(EnergyModel):
                 cvpp * max(lam_max, spec.det_abs) + cvpp,
             )
 
-    def _evaluate(self, F, S, grad, bonds=None):
+    def _evaluate(self, F, S, bonds=None):
         # per-simplex gradients G (B, n_simplices, d, d), memory [s, k, a, b]
         n_s, n, d = self._B.shape
         G = (self._Bt @ _rows(F).reshape(n, -1)).reshape(n_s, d, d, -1).transpose(3, 0, 2, 1)
         E = reduce(np.add, self._w[:, None] * self.density.value(G).T)
-        if not grad:
-            return E
-        if self.density.grad is None:
-            raise ValueError(f"density {self.density.name} has no gradient")
         DV = self.density.grad(G) * self._w[:, None, None]   # (B, n_simplices, d, d)
         gX = self._Bt.T @ DV.transpose(1, 3, 2, 0).reshape(n_s * d, -1)
         return E, (gX.reshape(n, d, -1).transpose(2, 1, 0), None)
@@ -630,7 +625,7 @@ class QuadraticFormModel(EnergyModel):
         P = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
         self._K = P.T @ (0.5 * (Q.H + Q.H.T)) @ P
 
-    def _evaluate(self, F, S, grad, bonds=None):
+    def _evaluate(self, F, S, bonds=None):
         """Fp = [[a, b], [c, d]] and the class docstring's formulas on rows X of F."""
         B, _, n = F.shape
         X = _rows(F).reshape(n, 2 * B)            # row j: F[:, 0, j], then F[:, 1, j]
@@ -660,9 +655,6 @@ class QuadraticFormModel(EnergyModel):
         if penalized:
             grow = 1.0 + reduce(np.add, np.square(X).reshape(2 * n, B))
             E += self.kappa * h * grow
-        if not grad:
-            return E
-
         sg = np.where(det < 0, -1.0, 1.0)
         R11, R12 = (a + sg * d) * inv_tau, (b - sg * c) * inv_tau
         R21, R22 = (c - sg * b) * inv_tau, (d + sg * a) * inv_tau
@@ -705,8 +697,8 @@ def quadratic_form_model(spec: LatticeSpec, Q: QuadraticForm,
     if Q.d != spec.d:
         raise ValueError("dimension mismatch between Q and the lattice")
     check_quadratic_form(Q)
-    if kappa <= 0 or not (0 < delta < 1):
-        raise ValueError("need kappa > 0 and 0 < delta < 1")
+    if not (0 < kappa < np.inf and 0 < delta < 1):    # NaN fails too
+        raise ValueError("need a finite kappa > 0 and 0 < delta < 1")
     return QuadraticFormModel(spec, Q, float(kappa), float(delta))
 
 
@@ -728,10 +720,10 @@ def multilattice_harmonic_model(spec: LatticeSpec, k: float, r0: float) -> Energ
         raise ValueError("unsupported internal count: model needs m = 1")
     if spec.d != 2 or not np.allclose(spec.A, np.eye(2)) or spec.n_cols != 4:
         raise ValueError("multilattice harmonic model requires the 2D unit square lattice")
-    if k <= 0:
-        raise ValueError("spring stiffness must be positive")
+    if not 0 < k < np.inf:                            # NaN fails too
+        raise ValueError("spring stiffness must be positive and finite")
     z1 = np.linalg.norm(spec.corners[:, 0])
-    if abs(r0 - z1) > 1e-9:
+    if not abs(r0 - z1) <= 1e-9:
         raise ValueError(f"rest length must equal the corner distance {z1}")
     k, r0 = float(k), float(r0)
 

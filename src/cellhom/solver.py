@@ -36,8 +36,10 @@ result records its line-search backtracks, the trial steps after the unit
 step, and its wall time.
 
 The first step is steepest descent.  The line search tries the unit step
-first.  A step whose energy rises above the rounding floor of the current
-energy, 1e-12 (1 + |E|), is halved on energies alone until the Armijo test
+first.  Every trial step is one energy-and-gradient evaluation, so the step
+it accepts keeps its gradient and no point is evaluated twice.  A step
+whose energy rises above the rounding floor of the current energy,
+1e-12 (1 + |E|), is halved, ranked on energies alone, until the Armijo test
 (constant 1e-4) holds.  A step that fails the Armijo test but stays within
 that floor cannot be ranked by energy any more; it is bracketed and
 bisected on the directional derivative instead, until the approximate Wolfe
@@ -117,7 +119,7 @@ class SolveResult:
     grad_norm: float
     start_label: str
     stop: str                       # converged | max_iter | line_search_stall
-    n_evals: int                    # energy and energy-gradient evaluations
+    n_evals: int                    # evaluations, each an energy with its gradient
     n_backtracks: int = 0           # line-search trials after the unit step
     wall_s: float = 0.0             # wall time of the search
     failed_starts: list = field(default_factory=list)  # multistart labels that diverged
@@ -246,8 +248,9 @@ class Problem:
         either the sample as one batch entry whose columns are the sites, or
         the interior cells' discrete gradients centred on the corner mean,
         whose gradient is chained through the centring and scattered back
-        onto the sites.  Raises ``DivergedEvaluation`` on a non-finite
-        energy or site gradient.
+        onto the sites.  Every kernel computes the gradient with the energy;
+        without ``grad`` it is dropped unchecked.  Raises
+        ``DivergedEvaluation`` on a non-finite energy or site gradient.
         """
         y, s = self._sites, self._shifts(x)
         self._put(y, x)
@@ -334,28 +337,28 @@ _MAX_BACKTRACKS = 60      # trial evaluations per line search after the unit ste
 def _line_search(problem: Problem, x, E, direction, slope):
     """One step along ``direction`` from ``x``; slope = phi'(0) < 0.
 
-    Returns ``(x_new, E_new, g_new, evals, backtracks)``, with ``x_new =
-    None`` when no acceptable step was found; ``backtracks`` counts the
-    trial steps after the unit step.  A trial that diverges counts as too
-    long.
+    Returns ``(x_new, E_new, g_new, evals)``, with ``x_new = None`` when no
+    acceptable step was found; every trial is one ``value_and_grad`` call,
+    so an accepted step keeps the gradient it was evaluated with, and the
+    trials after the unit step number ``evals - 1``.  A trial that diverges,
+    in its energy or its gradient, counts as too long.
     """
     floor = E + _ENERGY_FLOOR * (1.0 + abs(E))
 
-    def trial(x_t):
+    def trial(t):
+        x_t = x + t * direction
         try:
             return (x_t, *problem.value_and_grad(x_t))
         except DivergedEvaluation:
             return x_t, np.inf, None
 
-    x_t, E_t, g_t = trial(x + direction)
+    t = 1.0
+    x_t, E_t, g_t = trial(t)
     evals = 1
-    if E_t <= E + _ARMIJO * slope:
-        return x_t, E_t, g_t, evals, 0
-
-    if E_t <= floor:
+    if E + _ARMIJO * slope < E_t <= floor:
         # Below the rounding floor energies cannot rank steps: bracket and
         # bisect on phi'(t) = g(x + t d) . d instead.
-        lo, hi, t = 0.0, np.inf, 1.0
+        lo, hi = 0.0, np.inf
         while True:
             if E_t > floor:
                 hi = t
@@ -366,26 +369,21 @@ def _line_search(problem: Problem, x, E, direction, slope):
                 elif dphi > (2.0 * _WOLFE_DELTA - 1.0) * slope:
                     hi = t
                 else:
-                    return x_t, E_t, g_t, evals, evals - 1
+                    return x_t, E_t, g_t, evals
             if evals > _MAX_BACKTRACKS:
-                return None, E, None, evals, evals - 1
+                return None, E, None, evals
             t = 2.0 * t if hi == np.inf else 0.5 * (lo + hi)
-            x_t, E_t, g_t = trial(x + t * direction)
+            x_t, E_t, g_t = trial(t)
             evals += 1
 
-    t = 1.0
-    for backtracks in range(1, _MAX_BACKTRACKS + 1):
+    # halve on energies until the Armijo test holds
+    while not E_t <= E + _ARMIJO * t * slope:
+        if evals > _MAX_BACKTRACKS:
+            return None, E, None, evals
         t *= _BACKTRACK
-        x_t = x + t * direction
-        try:
-            E_t = problem.energy_only(x_t)
-        except DivergedEvaluation:
-            E_t = np.inf
+        x_t, E_t, g_t = trial(t)
         evals += 1
-        if E_t <= E + _ARMIJO * t * slope:
-            E_t, g_t = problem.value_and_grad(x_t)
-            return x_t, E_t, g_t, evals + 1, backtracks
-    return None, E, None, evals, _MAX_BACKTRACKS
+    return x_t, E_t, g_t, evals
 
 
 class _History:
@@ -469,15 +467,11 @@ def minimize(problem: Problem, opts: SolveOptions, start: Deformation, internal_
     x = problem.start_vector(start, internal_start)
     E, g = problem.value_and_grad(x)
     n_evals = 1
-    if g.size == 0:
-        y, s = problem.unpack(x)
-        return SolveResult(E, Deformation(problem.grid, y), s, 0, True, 0.0, start_label,
-                           "converged", n_evals, wall_s=time.perf_counter() - t0)
     pg = problem.precondition(g) if opts.history else g
     identity = pg is g
     history = _History(opts.history, g.size, identity)
     iterations = n_backtracks = 0
-    converged = bool(np.abs(g).max() <= opts.grad_tol)
+    converged = bool(np.abs(g).max(initial=0.0) <= opts.grad_tol)
     stop = "max_iter"
 
     while not converged and iterations < opts.max_iter:
@@ -488,9 +482,9 @@ def minimize(problem: Problem, opts: SolveOptions, start: Deformation, internal_
             slope = -(g @ g)
             history.order.clear()
 
-        x_new, E_new, g_new, evals, backtracks = _line_search(problem, x, E, direction, slope)
+        x_new, E_new, g_new, evals = _line_search(problem, x, E, direction, slope)
         n_evals += evals
-        n_backtracks += backtracks
+        n_backtracks += evals - 1
         if x_new is None:
             stop = "line_search_stall"
             break
@@ -510,7 +504,7 @@ def minimize(problem: Problem, opts: SolveOptions, start: Deformation, internal_
         internal=s,
         iterations=iterations,
         converged=converged,
-        grad_norm=float(np.abs(g).max()),
+        grad_norm=float(np.abs(g).max(initial=0.0)),
         start_label=start_label,
         stop="converged" if converged else stop,
         n_evals=n_evals,

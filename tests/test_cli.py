@@ -130,11 +130,21 @@ def test_parse_unknown_model_params_rejected(tmp_path):
      "model": {"name": "multilattice_harmonic"}},
     {"solver": {"max_iter": 10.5}}, {"solver": {"history": True}},
     {"solver": {"grad_tol": float("nan")}},
-], ids=["seed-float", "seed-bool", "schedule", "d", "m", "max_iter", "history", "grad_tol"])
+    {"model": {"name": "quadratic_form", "params": {"kappa": float("nan")}}},
+    {"M": [[float("nan"), 0.0, 0.0, 1.0]]},
+    {"model": {"name": "harmonic", "params": {"k": float("nan")}}},
+    {"lattice": {"d": 2, "A": [[1.0, 0.0], [0.0, 1.0]], "m": 1},
+     "model": {"name": "multilattice_harmonic"}, "s0": [[float("nan"), 0.0]]},
+    {"M": [[float("inf"), 0.0, 0.0, 1.0]]}, {"M": [[1.2, 0.0, 0.0, "1e999"]]},
+], ids=["seed-float", "seed-bool", "schedule", "d", "m", "max_iter", "history", "grad_tol",
+        "kappa-nan", "M-nan", "k-nan", "s0-nan", "M-inf", "M-overflow"])
 def test_parse_non_integer_or_non_finite_rejected(tmp_path, monkeypatch, overrides):
-    # each used to be truncated to an integer or passed on without a word
+    # each used to be truncated to an integer or passed on without a word;
+    # NaN, Infinity and 1e999, which json reads as floats, used to reach the
+    # models and end in a run that exits 0, a misleading error or a traceback
     monkeypatch.delenv("CELLHOM_SEED", raising=False)
     path = write_config(tmp_path, **overrides)
+    path.write_text(path.read_text().replace('"1e999"', "1e999"))
     with pytest.raises(ValueError, match="integer|finite"):
         parse_config(path)
 

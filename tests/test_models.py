@@ -243,6 +243,20 @@ def test_pair_shell_without_bonds_rejected(square_spec, shell):
         pair_potential_model(square_spec, harmonic_pair(1.0, 1.0, shell=shell), 1.5)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: harmonic_spring_model(square_lattice(), math.nan, 1.0),
+    lambda: harmonic_spring_model(square_lattice(), 1.0, math.nan),
+    lambda: multilattice_harmonic_model(square_lattice(m=1), math.nan, math.sqrt(0.5)),
+    lambda: multilattice_harmonic_model(square_lattice(m=1), 1.0, math.nan),
+    lambda: quadratic_form_model(square_lattice(), QuadraticForm.from_moduli(1.0, 0.5),
+                                 kappa=math.nan),
+], ids=["harmonic-k", "harmonic-r0", "multilattice-k", "multilattice-r0", "quadform-kappa"])
+def test_model_factories_reject_nan(build):
+    # NaN fails every comparison, so "k <= 0" used to let it through
+    with pytest.raises(ValueError, match="positive|kappa|corner distance"):
+        build()
+
+
 def test_shell_model_is_the_smaller_cutoff_model(square_spec):
     # the bonds off the shell are cut when the table is built, so the unit
     # shell at cutoff 1.5 is the cutoff-1 model, cell table and sample table
@@ -393,11 +407,11 @@ def test_quadratic_unpenalized_batch_matches_general_path(square_spec, rng):
     det = np.linalg.det(F @ model._lift)
     off = det >= model.delta                     # h = 0 exactly there
     assert off.any() and not off.all()
-    E, (gF, _) = model._evaluate(F, None, True)
-    E_off, (gF_off, _) = model._evaluate(F[off], None, True)
+    E, (gF, _) = model._evaluate(F, None)
+    E_off, (gF_off, _) = model._evaluate(F[off], None)
     assert np.array_equal(E_off, E[off])
     assert np.array_equal(gF_off, gF[off])
-    assert np.array_equal(model._evaluate(F[off], None, False), E_off)
+    assert np.array_equal(model._energy(F[off], None), E_off)
 
 
 def test_check_quadratic_form_accepts_moduli():
