@@ -1,12 +1,13 @@
 """Elastic constants and Cauchy-relation diagnostics.
 
 Pair interactions admit a closed lattice-sum formula for the elastic
-tensor (second derivative of the affine energy density at the identity);
-its two terms are symmetric under the index exchanges j <-> l and i <-> k,
-which forces the classical Cauchy relations.  General cell energies are
-differentiated numerically instead, and comparing the two paths, or
-checking the Cauchy residuals of a multi-constant quadratic-form model,
-quantifies how far a model escapes the pair-potential class.
+tensor (second derivative of the affine energy density at the identity):
+it contracts each bond's Hessian block K_ik with x_j x_l, both symmetric
+under one index exchange (i <-> k, j <-> l), which forces the classical
+Cauchy relations.  General cell energies are differentiated numerically
+instead, and comparing the two paths, or checking the Cauchy residuals of
+a multi-constant quadratic-form model, quantifies how far a model escapes
+the pair-potential class.
 """
 
 from __future__ import annotations
@@ -64,15 +65,12 @@ def pair_elastic_tensor(potential, lattice: LatticeSpec, cutoff: float) -> Elast
     """Direct lattice sum of the pair-potential elastic constants.
 
     c_ijkl = (1/|det A|) * sum over lattice vectors x with 0 < |x| <= cutoff
-    of V''(|x|) x_i x_j x_k x_l / |x|^2
-    + V'(|x|) (x_j x_l delta_ik / |x| - x_i x_j x_k x_l / |x|^3).
-
-    V' and V'' are the radial derivatives of the ``PairPotential`` at rest,
-    ``potential.value_and_deriv(r, r)[1]`` and ``potential.deriv2(r, r)``:
-    the bond models read phi' from the same object.  A potential with a
-    ``shell`` sums over the vectors of that length only, as its pair model
-    does.  The convention matches the ordered-pair lattice sum
-    W(M) = sum_{x != 0} V(|Mx|) / |det A|.
+    of K_ik(x) x_j x_l, K = ``potential.hessian(|x|, x)`` the bond's Hessian
+    block V''(|x|) u u^T + (V'(|x|) / |x|)(I - u u^T), u = x / |x|, whose
+    diagonal the bond models' stiffness preconditioner reads too.  A
+    potential with a ``shell`` sums over the vectors of that length only,
+    as its pair model does.  The convention matches the ordered-pair
+    lattice sum W(M) = sum_{x != 0} V(|Mx|) / |det A|.
     """
     _, pts = lattice_vectors_within(lattice, cutoff)
     r = np.linalg.norm(pts, axis=1)
@@ -80,19 +78,8 @@ def pair_elastic_tensor(potential, lattice: LatticeSpec, cutoff: float) -> Elast
     pts, r = pts[keep], r[keep]
     if len(pts) == 0:
         raise ValueError("empty shell set within the cutoff")
-    d = lattice.d
-    v1 = np.asarray(potential.value_and_deriv(r, r)[1], dtype=float)
-    v2 = np.asarray(potential.deriv2(r, r), dtype=float)
-    xxxx = np.einsum("ni,nj,nk,nl->nijkl", pts, pts, pts, pts)
-    term = v2[:, None, None, None, None] * xxxx / (r**2)[:, None, None, None, None]
-    jl = np.einsum("nj,nl->njl", pts, pts)
-    eye = np.eye(d)
-    term += v1[:, None, None, None, None] * (
-        np.einsum("njl,ik->nijkl", jl / r[:, None, None], eye)
-        - xxxx / (r**3)[:, None, None, None, None]
-    )
-    c = term.sum(axis=0) / lattice.det_abs
-    return ElasticTensor(d=d, c=c)
+    c = np.einsum("nik,nj,nl->ijkl", potential.hessian(r, pts), pts, pts) / lattice.det_abs
+    return ElasticTensor(d=lattice.d, c=c)
 
 
 def _hessian_once(W, d: int, h: float) -> np.ndarray:

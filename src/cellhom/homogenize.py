@@ -236,6 +236,6 @@ def tiling_upper_bound_check(model: EnergyModel, M, n: int, k: int,
 
     problem_k = Problem(grid_k, model, M, s0=s0)
     x_tiled = problem_k.pack(tiled, s_k)
-    e_tiled = problem_k.energy_only(x_tiled)
+    e_tiled = problem_k.value_and_grad(x_tiled)[0]
     res_k = multi_start_minimize(problem_k, opts)
     return res_k.energy / k**d, e_tiled / k**d

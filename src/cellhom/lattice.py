@@ -213,10 +213,6 @@ class CellGrid:
         return self.N ** self.spec.d
 
     @property
-    def n_sites(self) -> int:
-        return (self.N + 1) ** self.spec.d
-
-    @property
     def n_interior(self) -> int:
         return self.interior_cell_sites.shape[0]
 

@@ -21,8 +21,10 @@ order follows the layout and the batch size: results depend on values alone.
 Bond models are one family: each holds a ``PairPotential`` and evaluates
 any batch over a bond table of its columns, phi = V_r(|b|) and phi' from
 one ``value_and_deriv`` pass per bond: column pairs i, j, weights w and
-reference lengths r.  A potential restricted to one shell keeps only that
-shell's bonds in its table.  Harmonic springs are the pair model of
+reference lengths r.  The potential's ``hessian`` gives the bonds' Hessian
+blocks, which the stiffness preconditioner and the elastic lattice sum
+read.  A potential restricted to one shell keeps only that shell's bonds
+in its table.  Harmonic springs are the pair model of
 ``harmonic_pair(2k, r0)`` at cutoff 1.  The internal shifts S are the
 columns after the stencil's, so the multilattice model's one table holds
 the cell's edges and the arms from its corners to the internal atom.  A
@@ -105,11 +107,12 @@ class EnergyModel:
 
     def energy_many(self, F, S=None) -> np.ndarray:
         """Energies of a batch of cells; F has shape (B, d, n_cols)."""
-        return self._cells(np.asarray(F, dtype=float), S, False)
+        return self._cells(np.asarray(F, dtype=float), S, True)[0]
 
     def _cells(self, F, S, grad):
         """The kernel on cells F (B, d, n_cols) centred on their corner mean;
-        with ``grad`` the gradient is chained back through the centring."""
+        with ``grad`` the gradient is chained back through the centring;
+        without it, for ``Problem.energy_only`` only, ``_energy`` is called."""
         nc = self.spec.n_corners
         T = _rows(F)
         F = (T - reduce(np.add, T[:nc]) / nc).transpose(2, 1, 0)
@@ -129,6 +132,7 @@ class EnergyModel:
     # -- kernel entry points on centred batches -----------------------------
 
     def _energy(self, F, S, bonds=None):
+        """The energies of ``_evaluate``, for ``Problem.energy_only`` only."""
         return self._evaluate(F, S, bonds)[0]
 
     def _energy_gradient(self, F, S, bonds=None):
@@ -185,20 +189,17 @@ class _BondModel(EnergyModel):
 
     def _stiffness(self, M):
         """Laplacian weights c (d, d) of the affine state: c[alpha, a] sums
-        w K[alpha, alpha] delta_a^2 over the table, K = phi''(L) u u^T +
-        (phi'(L) / L)(I - u u^T) the bond's Hessian block at b = M (z_j - z_i),
-        L = |b|, u = b / L, and delta its lattice offset.  None unless every
-        weight is finite and nonnegative and every coordinate has a positive
-        one."""
+        w K[alpha, alpha] delta_a^2 over the table, K = ``potential.hessian``
+        at b = M (z_j - z_i), delta the bond's lattice offset; at M = I, c is
+        (|det A| / 2) C[alpha, a, alpha, a] of ``pair_elastic_tensor``.  None
+        unless every weight is finite and nonnegative and every coordinate
+        has a positive one."""
         i, j, w, rest = self.table
         b = (M @ (self.spec.stencil[:, j] - self.spec.stencil[:, i])).T
         delta = self.spec.offsets_int[j] - self.spec.offsets_int[i]
         with np.errstate(all="ignore"):     # a collapsed bond gives inf or nan
-            L = np.sqrt(np.einsum("ka,ka->k", b, b))
-            u2 = np.square(b / L[:, None])
-            K = (self.potential.deriv2(rest, L)[:, None] * u2
-                 + (self.potential.value_and_deriv(rest, L)[1] / L)[:, None] * (1.0 - u2))
-            c = K.T @ (w[:, None] * delta**2)
+            K = np.ascontiguousarray(np.einsum("kaa->ak", self.potential.hessian(rest, b)))
+            c = K @ (w[:, None] * delta**2)
         if np.all(np.isfinite(c)) and c.min() >= 0 and np.all(c.max(axis=1) > 0):
             return c
         return None
@@ -297,12 +298,12 @@ class PairPotential:
 
     ``value_and_deriv(r, rho)`` returns the energy of a bond of rest length
     r stretched to length rho and its derivative in rho, ``(V, V')``, in one
-    pass over what the two share; ``deriv2`` is V''.  Both must broadcast
-    over numpy arrays.  ``nonnegative`` marks families with V >= 0 so
-    downstream checks may rely on a nonnegative total energy.  ``shell``,
-    when set, restricts the family to the bonds of that rest length: pair
-    models and the elastic lattice sum keep only the lattice vectors with
-    |r - shell| < 1e-9.
+    pass over what the two share; ``deriv2`` is V'', read by ``hessian``
+    alone.  Both must broadcast over numpy arrays.  ``nonnegative`` marks
+    families with V >= 0 so downstream checks may rely on a nonnegative
+    total energy.  ``shell``, when set, restricts the family to the bonds of
+    that rest length: pair models and the elastic lattice sum keep only the
+    lattice vectors with |r - shell| < 1e-9.
     """
 
     value_and_deriv: Callable
@@ -315,9 +316,21 @@ class PairPotential:
         """Mask of the rest lengths r (an array) that this potential acts on."""
         return np.full(r.shape, True) if self.shell is None else np.abs(r - self.shell) < 1e-9
 
+    def hessian(self, r, b):
+        """The Hessian blocks K (n, d, d) of V_r(|b|) at the bond vectors b
+        (n, d) of rest lengths r: K = V''(L) u u^T + (V'(L) / L)(I - u u^T),
+        L = |b|, u = b / L."""
+        L = np.sqrt(np.einsum("ka,ka->k", b, b))
+        u = b / L[:, None]
+        uu = u[:, :, None] * u[:, None, :]
+        return (self.deriv2(r, L)[:, None, None] * uu
+                + (self.value_and_deriv(r, L)[1] / L)[:, None, None] * (np.eye(b.shape[1]) - uu))
+
 
 def lennard_jones(epsilon=1.0, sigma=1.0) -> PairPotential:
     """4*eps*((sigma/rho)^12 - (sigma/rho)^6), minimum at 2^(1/6)*sigma."""
+    if not (np.isfinite(epsilon) and 0 < sigma < np.inf):     # NaN fails too
+        raise ValueError("Lennard-Jones needs a finite epsilon and a positive, finite sigma")
 
     def value_and_deriv(r, rho):
         x = (sigma / rho) ** 6
@@ -333,6 +346,8 @@ def lennard_jones(epsilon=1.0, sigma=1.0) -> PairPotential:
 def harmonic_pair(k=1.0, r0=1.0, shell=None) -> PairPotential:
     """(k/2)(rho - r0)^2, optionally restricted to the bonds of rest length
     ``shell``."""
+    if not (0 <= k < np.inf and np.isfinite(r0) and (shell is None or 0 < shell < np.inf)):
+        raise ValueError("harmonic pair needs finite k >= 0 and r0, and a positive, finite shell")
 
     def value_and_deriv(r, rho):
         stretch = np.asarray(rho, dtype=float) - r0

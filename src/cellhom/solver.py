@@ -249,8 +249,9 @@ class Problem:
         the interior cells' discrete gradients centred on the corner mean,
         whose gradient is chained through the centring and scattered back
         onto the sites.  Every kernel computes the gradient with the energy;
-        without ``grad`` it is dropped unchecked.  Raises
-        ``DivergedEvaluation`` on a non-finite energy or site gradient.
+        without ``grad``, which only ``energy_only`` passes, it is dropped
+        unchecked.  Raises ``DivergedEvaluation`` on a non-finite energy or
+        site gradient.
         """
         y, s = self._sites, self._shifts(x)
         self._put(y, x)
@@ -301,6 +302,8 @@ class Problem:
         return np.concatenate((w.ravel(), v[n:]))
 
     def energy_only(self, x) -> float:
+        """The energy of ``value_and_grad``; no library path calls it, only
+        the benchmark, which times it and traces it."""
         return self._evaluate(x, False)
 
     def value_and_grad(self, x):

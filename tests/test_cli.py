@@ -336,6 +336,30 @@ def test_run_tiling_uses_s0(tmp_path):
     assert entry["dominated"]
 
 
+def test_run_fails_when_no_cell_problem_converges(tmp_path, capsys):
+    path = write_config(tmp_path, M=[[0.5, 0.0, 0.0, 1.0]], schedule=[6, 8, 12],
+                        solver={"max_iter": 1, "n_random_starts": 0})
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "error: no cell problem converged" in capsys.readouterr().err
+    assert "true" not in (tmp_path / "out" / "results.csv").read_text()
+
+
+@pytest.mark.parametrize("task, overrides", [
+    ("homogenize", {}),
+    ("cb_scan", {}),
+    ("elastic", {"M": []}),
+    ("tiling_check", {"schedule": [4, 8]}),
+])
+def test_every_task_runs_without_energy_only(tmp_path, monkeypatch, task, overrides):
+    # Problem.energy_only is the benchmark's entry point; no task reaches it
+    def energy_only(self, x):
+        raise AssertionError("energy_only called")
+
+    monkeypatch.setattr(cellhom.solver.Problem, "energy_only", energy_only)
+    path = write_config(tmp_path, task=task, **overrides)
+    assert run(parse_config(path), out_dir=str(tmp_path / "out")) == 0
+
+
 def test_main_run(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "cli_out"

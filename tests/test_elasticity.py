@@ -4,7 +4,7 @@ import pytest
 from cellhom import (PairPotential, QuadraticForm, build_lattice, cauchy_born_density,
                      cauchy_residuals, harmonic_pair, lennard_jones,
                      numeric_elastic_tensor, pair_elastic_tensor,
-                     quadratic_form_model, quadratic_model_hessian_check,
+                     pair_potential_model, quadratic_form_model, quadratic_model_hessian_check,
                      square_lattice, voigt_matrix)
 from cellhom.elasticity import ElasticTensor
 
@@ -89,6 +89,19 @@ def test_shell_tensor_is_the_smaller_cutoff_tensor(square_spec):
     shell = pair_elastic_tensor(harmonic_pair(1.0, 1.1, shell=1.0), square_spec, 1.5)
     near = pair_elastic_tensor(harmonic_pair(1.0, 1.1), square_spec, 1.0)
     assert np.array_equal(shell.c, near.c)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("cutoff", [1.0, 1.5])
+def test_stiffness_weights_are_the_elastic_tensor_diagonal(d, cutoff):
+    # the bond models' preconditioner weights at M = I and the lattice sum
+    # contract the same Hessian blocks; the model counts each bond once
+    spec = build_lattice(d, np.eye(d))
+    potential = harmonic_pair(1.0, 1.0)
+    weights = pair_potential_model(spec, potential, cutoff)._stiffness(np.eye(d))
+    C = pair_elastic_tensor(potential, spec, cutoff).c
+    assert weights is not None
+    assert np.allclose(weights, 0.5 * spec.det_abs * np.einsum("iaia->ia", C), rtol=1e-14, atol=0)
 
 
 def test_numeric_quadratic_density():

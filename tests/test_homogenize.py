@@ -48,6 +48,16 @@ def test_w_cont_compression(harmonic):
     assert np.all(est.f_values * np.array(est.schedule) < 1.0)
 
 
+def test_w_cont_clips_negative_intercept(harmonic):
+    # compression from the buckling start alone: f_N falls steeply enough
+    # over [6, 8, 12] that the 1/N fit crosses zero
+    est = w_cont_estimate(harmonic, np.diag([0.5, 1.0]), [6, 8, 12],
+                          SolveOptions(n_random_starts=0))
+    assert est.clipped
+    assert est.w_cont == 0.0
+    assert "negative fit intercept clipped to zero" in est.warnings
+
+
 def test_w_cont_identity(harmonic):
     est = w_cont_estimate(harmonic, np.eye(2), [4, 6, 8], TINY)
     assert est.w_cont <= 1e-12

@@ -50,7 +50,7 @@ def test_grid_counts_n3(square_spec):
     grid = build_grid(square_spec, 3)
     assert grid.n_interior == 1          # (N-2)^2
     assert np.count_nonzero(~grid.interior_mask) == 8  # N^2 - 1 by enumeration
-    assert grid.n_sites == 16            # (N+1)^2
+    assert len(grid.site_multi) == 16   # (N+1)^2
 
 
 def test_grid_counts_n5(square_spec):
@@ -73,7 +73,7 @@ def test_interior_count_exhaustive(d, N):
     spec = build_lattice(d, np.eye(d))
     grid = build_grid(spec, N)
     assert grid.n_interior == (N - 2) ** d
-    assert grid.n_sites == (N + 1) ** d
+    assert len(grid.site_multi) == (N + 1) ** d
 
 
 def test_interior_count_wide_stencil():
@@ -112,7 +112,8 @@ def test_free_sites_touch_only_interior(square_spec):
                 k = (i[0] + da, i[1] + db)
                 if all(0 <= v < grid.N for v in k):
                     assert k in interior
-    assert len(np.flatnonzero(grid.free_mask)) + len(np.flatnonzero(~grid.free_mask)) == grid.n_sites
+    n_free, n_pinned = len(np.flatnonzero(grid.free_mask)), len(np.flatnonzero(~grid.free_mask))
+    assert n_free + n_pinned == len(grid.site_multi)
 
 
 def test_grid_build_deterministic(square_spec):

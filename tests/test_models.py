@@ -152,6 +152,28 @@ def test_potential_derivatives_match_central_differences(harmonic, multilattice,
                            rtol=1e-6, atol=1e-6), potential.name
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_potential_hessian_matches_central_differences(d, rng):
+    # K = V'' u u^T + (V' / L)(I - u u^T) against central differences of the
+    # bond gradient V'(|b|) b / |b|, one column of K per coordinate of b
+    b = rng.standard_normal((100, d))
+    b *= rng.uniform(0.8, 2.0, (len(b), 1)) / np.linalg.norm(b, axis=1, keepdims=True)
+    r = rng.choice([1.0, np.sqrt(2.0)], size=len(b))
+    h = 1e-6
+
+    def bond_gradient(potential, b):
+        L = np.linalg.norm(b, axis=1)
+        return (potential.value_and_deriv(r, L)[1] / L)[:, None] * b
+
+    for potential in (lennard_jones(1.0, 2 ** (-1 / 6)), lennard_jones(0.7, 1.3),
+                      harmonic_pair(1.5, 1.1), harmonic_pair(1.0, 1.1, shell=1.0)):
+        K = potential.hessian(r, b)
+        assert K.shape == (len(b), d, d)
+        for c, e in enumerate(h * np.eye(d)):
+            fd = (bond_gradient(potential, b + e) - bond_gradient(potential, b - e)) / (2 * h)
+            assert np.allclose(K[:, :, c], fd, rtol=1e-6, atol=1e-6), potential.name
+
+
 def test_cell_kernels_round_per_value_not_layout(square_spec, multilattice, rng):
     # the interior cells of one N = 32 state, as a C-contiguous batch, as
     # the site-major view of the gathered positions and as a batch-last
@@ -250,9 +272,30 @@ def test_pair_shell_without_bonds_rejected(square_spec, shell):
     lambda: multilattice_harmonic_model(square_lattice(m=1), 1.0, math.nan),
     lambda: quadratic_form_model(square_lattice(), QuadraticForm.from_moduli(1.0, 0.5),
                                  kappa=math.nan),
-], ids=["harmonic-k", "harmonic-r0", "multilattice-k", "multilattice-r0", "quadform-kappa"])
+    lambda: harmonic_pair(math.nan),
+    lambda: harmonic_pair(math.inf),
+    lambda: harmonic_pair(-1.0),
+    lambda: harmonic_pair(1.0, math.nan),
+    lambda: harmonic_pair(1.0, -math.inf),
+    lambda: harmonic_pair(1.0, 1.0, shell=math.nan),
+    lambda: harmonic_pair(1.0, 1.0, shell=math.inf),
+    lambda: harmonic_pair(1.0, 1.0, shell=0.0),
+    lambda: harmonic_pair(1.0, 1.0, shell=-1.0),
+    lambda: lennard_jones(math.nan),
+    lambda: lennard_jones(-math.inf),
+    lambda: lennard_jones(1.0, math.nan),
+    lambda: lennard_jones(1.0, math.inf),
+    lambda: lennard_jones(1.0, 0.0),
+    lambda: lennard_jones(1.0, -1.0),
+], ids=["harmonic-k", "harmonic-r0", "multilattice-k", "multilattice-r0", "quadform-kappa",
+        "pair-k-nan", "pair-k-inf", "pair-k-negative", "pair-r0-nan", "pair-r0-inf",
+        "pair-shell-nan", "pair-shell-inf", "pair-shell-zero", "pair-shell-negative",
+        "lj-epsilon-nan", "lj-epsilon-inf", "lj-sigma-nan", "lj-sigma-inf", "lj-sigma-zero",
+        "lj-sigma-negative"])
 def test_model_factories_reject_nan(build):
-    # NaN fails every comparison, so "k <= 0" used to let it through
+    # NaN fails every comparison, so "k <= 0" used to let it through; the
+    # pair potentials used to check nothing, and every solve of their
+    # models failed with "all starts failed"
     with pytest.raises(ValueError, match="positive|kappa|corner distance"):
         build()
 

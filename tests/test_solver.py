@@ -168,7 +168,7 @@ def test_kernels_get_batch_last_memory(square_spec, harmonic, multilattice, rng)
         if problem.bonds is None:
             shape = (problem.n_cells, 2, model.n_cols)
         else:
-            shape = (1, 2, problem.grid.n_sites)
+            shape = (1, 2, len(problem.grid.site_multi))
         assert len(seen) == 2
         for F in seen:
             assert F.shape == shape, model.name
@@ -653,6 +653,52 @@ def test_halved_step_whose_gradient_diverges_is_too_long():
     assert res.stop == "converged"
     assert np.allclose(res.argmin.y, 1.0)
     assert res.n_evals == len(problem.points) == 1 + res.iterations + res.n_backtracks
+
+
+class IndefinitePreconditionProblem(FloorProblem):
+    """E = x^T A x / 2 - sum(x), A = diag(1, 4, 9), whose P^-1 flips the
+    sign of the second coordinate: H0 = gamma P^-1 is indefinite, so some
+    quasi-Newton directions do not descend."""
+
+    def __init__(self):
+        pass
+
+    def start_vector(self, start, internal):
+        return np.zeros(3)
+
+    def value_and_grad(self, x):
+        Ax = np.array([1.0, 4.0, 9.0]) * x
+        return float(0.5 * x @ Ax - x.sum()), Ax - 1.0
+
+    def precondition(self, v):
+        return v * np.array([1.0, -1.0, 1.0])
+
+
+def test_non_descent_direction_falls_back_to_steepest_descent(monkeypatch):
+    uphill = []
+    direction = solver._History.direction
+
+    def spy(self, g, pg):
+        d = direction(self, g, pg)
+        uphill.append(not d @ g < 0)
+        return d
+
+    monkeypatch.setattr(solver._History, "direction", spy)
+    res = minimize(IndefinitePreconditionProblem(), SolveOptions(), None)
+    assert any(uphill)
+    assert res.stop == "converged"
+    assert np.allclose(res.argmin.y, [1.0, 0.25, 1.0 / 9.0])
+
+
+def test_multistart_names_every_failed_start(square_spec):
+    from cellhom import MatrixDensity, quasiconvex_wrapper_model
+    nan = MatrixDensity(value=lambda G: np.full(G.shape[:-2], np.nan),
+                        grad=lambda G: np.zeros(G.shape))
+    model = quasiconvex_wrapper_model(square_spec, nan)
+    problem = Problem(build_grid(square_spec, 6), model, np.diag([0.9, 1.0]))
+    with pytest.raises(DivergedEvaluation,
+                       match="^all starts failed: affine, buckling, random-0, random-1$"):
+        multi_start_minimize(problem, FAST)
 
 
 def test_options_validation():
