@@ -4,14 +4,17 @@ Usage:
     cellhom run <config.json> [--out DIR]
 
 A config selects a lattice, a model, one task and its inputs.  Outputs are
-``results.csv`` (one row per solved cell problem), ``summary.json``
-(extrapolations, gaps, residuals, solver metadata, config hash, and per
-box size the winner's stop reason, evaluation count, preconditioner and
-diverged starts, the cell problem's wall time, and every start's energy,
-stop reason, cost and wall time) and ``plotdata/*.csv`` (f_N against 1/N
-per boundary matrix).  Identical configs and seeds produce byte-identical
-results.csv; only the timestamp and the wall times in summary.json vary
-between runs.
+``results.csv`` (one row per solved cell problem, for every task but
+``elastic``), ``summary.json`` (extrapolations, gaps, residuals, tiling
+checks, solver metadata, config hash, and per box size the winner's stop
+reason, evaluation count, preconditioner and diverged starts, the cell
+problem's wall time split into grid, assembly and multistart, and every
+start's energy, stop reason, cost and wall time) and ``plotdata/*.csv``
+(f_N against 1/N per boundary matrix of a fitted task).  Identical configs
+and seeds produce byte-identical results.csv; only the timestamp and the
+wall times in summary.json vary between runs.  ``run`` returns 1 when
+cell problems were solved and none converged; ``main`` prints a rejected
+config's error and returns 2.
 """
 
 from __future__ import annotations
@@ -169,7 +172,13 @@ def parse_config(path) -> RunConfig:
 
     sol = dict(raw.get("solver", {}))
     _reject_unknown(sol, _SOLVER_KEYS, "solver block")
-    seed = int(os.environ["CELLHOM_SEED"]) if "CELLHOM_SEED" in os.environ else raw.get("seed", 0)
+    seed = raw.get("seed", 0)
+    if "CELLHOM_SEED" in os.environ:
+        try:
+            seed = int(os.environ["CELLHOM_SEED"])
+        except ValueError:
+            raise ValueError("CELLHOM_SEED must be an integer, "
+                             f"got {os.environ['CELLHOM_SEED']!r}") from None
     solver = SolveOptions(**sol, seed=seed)
 
     return RunConfig(raw=raw, model=model, task=task,
@@ -197,9 +206,9 @@ def _fmt_matrix(M) -> str:
 _CSV_HEADER = "task,model,M,s0,N,f_N,energy,iters,converged,grad_norm,start_label"
 
 
-def _result_rows(task, model_name, M, s0, est):
+def _result_rows(task, model_name, M, s0, per_N):
     rows = []
-    for diag in est.per_N:
+    for diag in per_N:
         rows.append(",".join([
             task, model_name, _fmt_matrix(M),
             "" if s0 is None else _fmt_matrix(s0),
@@ -246,25 +255,26 @@ def _s0_for(config, i):
 
 
 def _run_homogenize(config: RunConfig):
-    rows, summary, warnings, estimates = [], [], [], []
+    rows, summary, warnings, estimates, solved = [], [], [], [], []
     for i, M in enumerate(config.M_list):
         s0 = _s0_for(config, i)
         est = hm.w_cont_estimate(config.model, M, config.schedule, config.solver, s0=s0)
-        rows.extend(_result_rows("homogenize", config.model.name, M, s0, est))
+        rows.extend(_result_rows("homogenize", config.model.name, M, s0, est.per_N))
         summary.append(_est_summary(est))
         warnings.extend(est.warnings)
         estimates.append(est)
-    return rows, {"estimates": summary}, warnings, estimates
+        solved.extend(est.per_N)
+    return rows, {"estimates": summary}, warnings, estimates, solved
 
 
 def _run_cb_scan(config: RunConfig):
     scan = hm.cb_validity_scan(config.model, config.M_list, config.schedule,
                                config.solver)
 
-    rows, table, warnings, estimates = [], [], [], []
+    rows, table, warnings, estimates, solved = [], [], [], [], []
     for M, entry in zip(config.M_list, scan):
         est = entry["result"]
-        rows.extend(_result_rows("cb_scan", config.model.name, M, None, est))
+        rows.extend(_result_rows("cb_scan", config.model.name, M, None, est.per_N))
         table.append({
             "M": np.asarray(M).reshape(-1).tolist(),
             "w_cb": entry["w_cb"],
@@ -275,7 +285,8 @@ def _run_cb_scan(config: RunConfig):
         })
         warnings.extend(est.warnings)
         estimates.append(est)
-    return rows, {"cb_table": table}, warnings, estimates
+        solved.extend(est.per_N)
+    return rows, {"cb_table": table}, warnings, estimates, solved
 
 
 def _run_elastic(config: RunConfig):
@@ -297,26 +308,32 @@ def _run_elastic(config: RunConfig):
         "minor_symmetry": report.minor_symmetry,
         "major_symmetry": report.major_symmetry,
     }
-    return rows, summary, [], []
+    return rows, summary, [], [], []
 
 
 def _run_tiling(config: RunConfig):
     n = config.schedule[0]
-    checks = []
+    rows, checks, schedules, warnings, solved = [], [], [], [], []
     for i, M in enumerate(config.M_list):
-        for k in config.schedule[1:]:
-            solved, tiled = hm.tiling_upper_bound_check(config.model, M, n, k, config.solver,
-                                                        s0=_s0_for(config, i))
+        s0 = _s0_for(config, i)
+        per_N, pairs = hm.tiling_upper_bound_check(config.model, M, config.schedule,
+                                                   config.solver, s0=s0)
+        flat = np.asarray(M).reshape(-1).tolist()
+        for k, (f_solved, f_tiled) in zip(config.schedule[1:], pairs):
             checks.append({
-                "M": np.asarray(M).reshape(-1).tolist(),
-                "n": n, "k": k,
-                "f_k_solved": solved, "f_k_tiled": tiled,
-                "dominated": bool(solved <= tiled + 1e-9),
+                "M": flat, "n": n, "k": k,
+                "f_k_solved": f_solved, "f_k_tiled": f_tiled,
+                "dominated": bool(f_solved <= f_tiled + 1e-9),
             })
-    rows = []
-    warnings = [] if all(c["dominated"] for c in checks) else \
-        ["tiling dominance violated"]
-    return rows, {"tiling": checks}, warnings, []
+        rows.extend(_result_rows("tiling_check", config.model.name, M, s0, per_N))
+        schedules.append({"M": flat, "per_N": per_N,
+                          "s0": None if s0 is None else np.asarray(s0).reshape(-1).tolist()})
+        if not all(d["converged"] for d in per_N):
+            warnings.append(hm._UNCONVERGED)
+        solved.extend(per_N)
+    if not all(c["dominated"] for c in checks):
+        warnings.append("tiling dominance violated")
+    return rows, {"tiling": checks, "schedules": schedules}, warnings, [], solved
 
 
 def run(config: RunConfig, out_dir=".") -> int:
@@ -328,16 +345,11 @@ def run(config: RunConfig, out_dir=".") -> int:
         "elastic": _run_elastic,
         "tiling_check": _run_tiling,
     }[config.task]
-    rows, results, warnings, estimates = runner(config)
+    rows, results, warnings, estimates, solved = runner(config)
 
-    csv_path = os.path.join(out_dir, "results.csv")
-    with open(csv_path, "w") as fh:
-        if config.task == "elastic":
-            fh.write("\n".join(rows) + "\n")
-        else:
-            fh.write(_CSV_HEADER + "\n")
-            if rows:
-                fh.write("\n".join(rows) + "\n")
+    with open(os.path.join(out_dir, "results.csv"), "w") as fh:
+        lines = rows if config.task == "elastic" else [_CSV_HEADER, *rows]
+        fh.write("\n".join(lines) + "\n")
 
     for i, est in enumerate(estimates):
         _write_plotdata(out_dir, f"m{i}", est)
@@ -355,8 +367,7 @@ def run(config: RunConfig, out_dir=".") -> int:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    solved_rows = [d for est in estimates for d in est.per_N]
-    if solved_rows and not any(d["converged"] for d in solved_rows):
+    if solved and not any(d["converged"] for d in solved):
         print("error: no cell problem converged", file=sys.stderr)
         return 1
     return 0
@@ -376,7 +387,12 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", default=".")
 
     args = parser.parse_args(argv)
-    return run(parse_config(args.config), out_dir=args.out)
+    try:
+        config = parse_config(args.config)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return run(config, out_dir=args.out)
 
 
 if __name__ == "__main__":

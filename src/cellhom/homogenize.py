@@ -7,7 +7,10 @@ it is estimated by a least-squares fit f_N = w + a/N over a schedule of
 box sizes, motivated by the first-order boundary error of both the
 harmonic benchmark and compressed states.  All reported values are upper
 bounds obtained by multistart local search, with per-N diagnostics kept so
-that downstream users can audit convergence.
+that downstream users can audit convergence.  Every cell problem is built
+and solved by one schedule solver, which ``f_N``, ``w_cont_estimate`` and
+``tiling_upper_bound_check`` share; it records, per N, the winning start
+and the wall time of the grid build, the assembly and the multistart.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
 ]
 
 _GAP_THRESHOLD = 0.01    # W_CB - w_cont above which cb_validity_scan flags M
+_UNCONVERGED = "solver did not converge at some box sizes"
 
 
 @dataclass
@@ -43,7 +47,8 @@ class HomogenizationResult:
     ``nonnegative`` a negative intercept is clipped to zero and ``clipped``
     is set; any other model keeps its raw, possibly negative, intercept.
     Each ``per_N`` entry describes the winning start, except ``wall_s``,
-    the wall time of the whole cell problem: grid, assembly and all starts.
+    the wall time of the whole cell problem, and its parts ``grid_s``,
+    ``assembly_s`` and ``multistart_s``: grid, assembly and all starts.
     """
 
     M: np.ndarray
@@ -58,9 +63,41 @@ class HomogenizationResult:
     clipped: bool = False
 
 
-def _solve(model: EnergyModel, M, N, opts: SolveOptions, s0=None):
-    """Multistart solution of the cell problem on the N-box."""
-    return multi_start_minimize(Problem(build_grid(model.spec, N), model, M, s0=s0), opts)
+def _solve_schedule(model: EnergyModel, M, schedule, opts: SolveOptions, s0=None):
+    """Build and multistart the cell problem at each box size, in order.
+
+    Returns one ``(problem, result, record)`` per N, where ``record`` is
+    the N's ``HomogenizationResult.per_N`` entry.
+    """
+    solved = []
+    for N in schedule:
+        t0 = time.perf_counter()
+        grid = build_grid(model.spec, N)
+        t1 = time.perf_counter()
+        problem = Problem(grid, model, M, s0=s0)
+        t2 = time.perf_counter()
+        result = multi_start_minimize(problem, opts)
+        t3 = time.perf_counter()
+        solved.append((problem, result, {
+            "N": N,
+            "f_N": result.energy / N**model.spec.d / model.spec.det_abs,
+            "energy": result.energy,
+            "iterations": result.iterations,
+            "converged": result.converged,
+            "grad_norm": result.grad_norm,
+            "start_label": result.start_label,
+            "stop": result.stop,
+            "n_evals": result.n_evals,
+            "n_backtracks": result.n_backtracks,
+            "precondition": problem.preconditioner,
+            "failed_starts": result.failed_starts,
+            "starts": result.starts,
+            "wall_s": t3 - t0,
+            "grid_s": t1 - t0,
+            "assembly_s": t2 - t1,
+            "multistart_s": t3 - t2,
+        }))
+    return solved
 
 
 def f_N(model: EnergyModel, M, N, opts: SolveOptions | None = None, s0=None) -> float:
@@ -70,7 +107,8 @@ def f_N(model: EnergyModel, M, N, opts: SolveOptions | None = None, s0=None) -> 
     it is *not* normalized by the interior-cell count or the cell volume.
     """
     N = int(N)
-    return _solve(model, M, N, opts or SolveOptions(), s0=s0).energy / N**model.spec.d
+    result = _solve_schedule(model, M, [N], opts or SolveOptions(), s0)[0][1]
+    return result.energy / N**model.spec.d
 
 
 def _fit_schedule(schedule):
@@ -92,36 +130,11 @@ def w_cont_estimate(model: EnergyModel, M, schedule, opts: SolveOptions | None =
     internal shifts; ``s0=None`` relaxes it, which realizes the pointwise
     minimum of the constrained density over the mean.
     """
-    opts = opts or SolveOptions()
     schedule = _fit_schedule(schedule)
     M = np.asarray(M, dtype=float)
-
-    det = model.spec.det_abs
-    f_vals, diag = [], []
-    for N in schedule:
-        t0 = time.perf_counter()
-        problem = Problem(build_grid(model.spec, N), model, M, s0=s0)
-        result = multi_start_minimize(problem, opts)
-        wall_s = time.perf_counter() - t0
-        raw = result.energy / N**model.spec.d
-        f_vals.append(raw / det)
-        diag.append({
-            "N": N,
-            "f_N": raw / det,
-            "energy": result.energy,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "grad_norm": result.grad_norm,
-            "start_label": result.start_label,
-            "stop": result.stop,
-            "n_evals": result.n_evals,
-            "n_backtracks": result.n_backtracks,
-            "precondition": problem.preconditioner,
-            "failed_starts": result.failed_starts,
-            "starts": result.starts,
-            "wall_s": wall_s,
-        })
-    f_vals = np.asarray(f_vals)
+    solved = _solve_schedule(model, M, schedule, opts or SolveOptions(), s0)
+    diag = [record for _, _, record in solved]
+    f_vals = np.array([d["f_N"] for d in diag])
 
     inv = 1.0 / np.asarray(schedule, dtype=float)
     coeffs = np.polyfit(inv, f_vals, 1)
@@ -131,7 +144,7 @@ def w_cont_estimate(model: EnergyModel, M, schedule, opts: SolveOptions | None =
 
     warnings = []
     if not all(d["converged"] for d in diag):
-        warnings.append("solver did not converge at some box sizes")
+        warnings.append(_UNCONVERGED)
     rises = np.diff(f_vals)
     if np.any(rises > 1e-9 + 0.05 * (np.abs(f_vals).max() + 1e-15)):
         warnings.append("f_N increases along the schedule (no relaxation gain)")
@@ -188,54 +201,51 @@ def cb_validity_scan(model: EnergyModel, M_list, schedule,
     return rows
 
 
-def tiling_upper_bound_check(model: EnergyModel, M, n: int, k: int,
+def tiling_upper_bound_check(model: EnergyModel, M, schedule,
                              opts: SolveOptions | None = None, s0=None):
-    """Periodic extension of an n-box minimizer as a k-box trial field.
+    """Periodic extension of an n-box minimizer as a trial field of each k-box.
 
-    The n-box minimizer is copied to every n-tile of the k-box with the
-    matching affine offset, which is admissible for the k-box problem, so
-    its energy per cell dominates the directly solved value.  Internal
-    shifts are copied too; with ``s0`` the k-box problem moves them all by
-    one uniform shift, s0 - mean, to meet the mean constraint.  Returns
-    (f_k_solved, f_k_tiled), both energies divided by k^d.
+    ``schedule`` is [n, k, ...], each k a multiple of n; every box size is
+    solved once.  The n-box minimizer is copied to every n-tile of a k-box
+    with the matching affine offset, which is admissible for the k-box
+    problem, so its energy per cell dominates the directly solved value.
+    Internal shifts are copied too; with ``s0`` the k-box problem moves
+    them all by one uniform shift, s0 - mean, to meet the mean constraint.
+    Returns the schedule's ``per_N`` records and one (f_k_solved,
+    f_k_tiled) pair per k, both energies divided by k^d.
     """
-    opts = opts or SolveOptions()
-    n, k = int(n), int(k)
-    r = model.spec.radius
-    if k % n != 0:
-        raise ValueError("k must be a multiple of n")
-    if n <= 2 * r or k <= 2 * r:
-        raise ValueError("no interior cells")
+    n, *ks = [int(N) for N in schedule]
+    if not ks or any(k % n for k in ks):
+        raise ValueError("each k must be a multiple of n")
+    d, A = model.spec.d, model.spec.A
     M = np.asarray(M, dtype=float)
-    d = model.spec.d
-    A = model.spec.A
 
-    res_n = _solve(model, M, n, opts, s0=s0)
+    solved = _solve_schedule(model, M, [n, *ks], opts or SolveOptions(), s0)
+    res_n = solved[0][1]
     grid_n = res_n.argmin.grid
-    grid_k = build_grid(model.spec, k)
-    reps = k // n
+    checks = []
+    for problem_k, res_k, _ in solved[1:]:
+        grid_k, k = problem_k.grid, problem_k.grid.N
+        reps = k // n
+        # site m of the k-box copies site m - n t of tile t; a site shared by
+        # several tiles takes the last of them, t = min(m // n, reps - 1)
+        tiles = integer_box(0, reps - 1, d)
+        shifts = (n * tiles).astype(float) @ A.T @ M.T
+        t = np.minimum(grid_k.site_multi // n, reps - 1)
+        y_k = (res_n.argmin.y[flat_index(grid_k.site_multi - n * t, n + 1)]
+               + shifts[flat_index(t, reps)])
+        tiled = Deformation(grid_k, y_k)
 
-    # site m of the k-box copies site m - n t of tile t; a site shared by
-    # several tiles takes the last of them, t = min(m // n, reps - 1)
-    tiles = integer_box(0, reps - 1, d)
-    shifts = (n * tiles).astype(float) @ A.T @ M.T
-    t = np.minimum(grid_k.site_multi // n, reps - 1)
-    y_k = (res_n.argmin.y[flat_index(grid_k.site_multi - n * t, n + 1)]
-           + shifts[flat_index(t, reps)])
-    tiled = Deformation(grid_k, y_k)
+        s_k = None
+        if model.m > 0:
+            # interior cell c of the k-box copies cell c % n of the n-box when
+            # that one is interior, and starts from s0 (or zero) otherwise
+            lookup = np.full(grid_n.n_cells, -1)
+            lookup[grid_n.interior_mask] = np.arange(grid_n.n_interior)
+            pos = lookup[flat_index(grid_k.cell_multi[grid_k.interior_mask] % n, n)]
+            s_base = np.zeros((d, model.m)) if s0 is None else np.asarray(s0, dtype=float)
+            s_k = np.where((pos >= 0)[:, None, None], res_n.internal[pos], s_base)
 
-    s_k = None
-    if model.m > 0:
-        # interior cell c of the k-box copies cell c % n of the n-box when
-        # that one is interior, and starts from s0 (or zero) otherwise
-        lookup = np.full(grid_n.n_cells, -1)
-        lookup[grid_n.interior_mask] = np.arange(grid_n.n_interior)
-        pos = lookup[flat_index(grid_k.cell_multi[grid_k.interior_mask] % n, n)]
-        s_base = np.zeros((d, model.m)) if s0 is None else np.asarray(s0, dtype=float)
-        s_k = np.where((pos >= 0)[:, None, None], res_n.internal[pos], s_base)
-
-    problem_k = Problem(grid_k, model, M, s0=s0)
-    x_tiled = problem_k.pack(tiled, s_k)
-    e_tiled = problem_k.value_and_grad(x_tiled)[0]
-    res_k = multi_start_minimize(problem_k, opts)
-    return res_k.energy / k**d, e_tiled / k**d
+        e_tiled = problem_k.value_and_grad(problem_k.pack(tiled, s_k))[0]
+        checks.append((res_k.energy / k**d, e_tiled / k**d))
+    return [record for _, _, record in solved], checks

@@ -74,10 +74,10 @@ def max_rel_err(a, b):
 
 def reproducible(summary):
     """``summary.json`` without what varies between runs: its timestamp and
-    every ``wall_s``."""
+    every wall time."""
     if isinstance(summary, dict):
         return {k: reproducible(v) for k, v in summary.items()
-                if k not in ("timestamp", "wall_s")}
+                if k not in ("timestamp", "wall_s", "grid_s", "assembly_s", "multistart_s")}
     if isinstance(summary, list):
         return [reproducible(v) for v in summary]
     return summary

@@ -157,8 +157,8 @@ def test_criterion_06_tiling_dominance(harmonic):
     opts = SolveOptions(n_random_starts=2)
     results = []
     for M in (np.diag([1.2, 1.0]), np.diag([0.5, 1.0])):
-        for n, k in ((8, 16), (8, 32)):
-            solved, tiled = tiling_upper_bound_check(harmonic, M, n, k, opts)
+        _, pairs = tiling_upper_bound_check(harmonic, M, [8, 16, 32], opts)
+        for (n, k), (solved, tiled) in zip(((8, 16), (8, 32)), pairs):
             assert solved <= tiled + 1e-9
             results.append((n, k, solved, tiled))
     dt = elapsed_guard(t0, 300, 6)

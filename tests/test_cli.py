@@ -152,8 +152,10 @@ def test_parse_non_integer_or_non_finite_rejected(tmp_path, monkeypatch, overrid
 @pytest.mark.parametrize("task, schedule", [
     ("tiling_check", [4]), ("tiling_check", [4, 6]), ("tiling_check", [4, 8, 10]),
     ("homogenize", [4, 8]), ("homogenize", [4, 8, 8]), ("cb_scan", [8, 4, 12]),
+    ("homogenize", [2, 4, 6]),
 ], ids=["tiling-one-entry", "tiling-not-multiple", "tiling-later-not-multiple",
-        "homogenize-two-entries", "homogenize-repeated", "cb_scan-decreasing"])
+        "homogenize-two-entries", "homogenize-repeated", "cb_scan-decreasing",
+        "below-stencil"])
 def test_parse_rejects_schedule_the_task_cannot_use(tmp_path, task, schedule):
     # tiling_check with [4] used to exit 0 with no check and no warning; the
     # fit's schedule errors used to surface only after parsing
@@ -177,6 +179,28 @@ def test_parse_pair_shell_without_bonds_rejected(tmp_path, shell):
     model = {"name": "pair_harmonic", "params": {"cutoff": 1.5, "shell": shell}}
     with pytest.raises(ValueError, match="no bond"):
         parse_config(write_config(tmp_path, model=model))
+
+
+_MULTILATTICE = {"lattice": {"d": 2, "A": [[1.0, 0.0], [0.0, 1.0]], "m": 1},
+                 "model": {"name": "multilattice_harmonic"}}
+
+
+@pytest.mark.parametrize("overrides, match", [
+    ({"model": {"name": "nope"}}, "unknown model name 'nope'"),
+    ({"M": []}, "missing field 'M'"),
+    ({**_MULTILATTICE, "M": [[1.05, 0.0, 0.0, 1.0]] * 2, "s0": [[0.0, 0.0]] * 3},
+     "s0 list must have length 1 or match the M list"),
+], ids=["model-name", "no-M", "s0-length"])
+def test_parse_rejects_config(tmp_path, overrides, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        parse_config(write_config(tmp_path, **overrides))
+
+
+def test_parse_rejects_config_that_is_not_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="config must be a JSON object"):
+        parse_config(path)
 
 
 def test_parse_missing_field(tmp_path):
@@ -322,6 +346,51 @@ def test_run_tiling(tmp_path):
     entry = summary["results"]["tiling"][0]
     assert entry["n"] == 4 and entry["k"] == 8
     assert entry["dominated"]
+    csv = (out / "results.csv").read_text().strip().splitlines()
+    assert [row.split(",")[:5] for row in csv[1:]] == [
+        ["tiling_check", "harmonic", "1.2 0.0 0.0 1.0", "", N] for N in ("4", "8")]
+    per_N = summary["results"]["schedules"][0]["per_N"]
+    assert [(d["N"], d["converged"]) for d in per_N] == [(4, True), (8, True)]
+    assert entry["f_k_solved"] == per_N[1]["energy"] / 8**2
+    assert summary["warnings"] == []
+
+
+def test_tiling_check_reports_what_it_solved(tmp_path, capsys):
+    # a tiling_check used to write a header-only results.csv, record no cell
+    # problem, warn of nothing and exit 0 even when no cell problem converged
+    path = write_config(tmp_path, task="tiling_check", M=[[0.7, 0.0, 0.0, 1.0]],
+                        schedule=[8, 16, 32], solver={"n_random_starts": 1, "max_iter": 3})
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert "error: no cell problem converged" in capsys.readouterr().err
+    csv = (out / "results.csv").read_text().strip().splitlines()
+    assert [row.split(",")[4] for row in csv[1:]] == ["8", "16", "32"]
+    assert {row.split(",")[0] for row in csv[1:]} == {"tiling_check"}
+    summary = json.loads((out / "summary.json").read_text())
+    assert "solver did not converge at some box sizes" in summary["warnings"]
+    per_N = summary["results"]["schedules"][0]["per_N"]
+    assert [(d["N"], d["stop"]) for d in per_N] == [(8, "max_iter"), (16, "max_iter"),
+                                                   (32, "max_iter")]
+    assert [c["k"] for c in summary["results"]["tiling"]] == [16, 32]
+
+
+def test_tiling_check_solves_each_box_size_once(tmp_path, monkeypatch):
+    # L matrices over [n, k1, ..., km] take L (m + 1) multistarts; each k
+    # used to solve its n-box again, 2 L m in all
+    solved = []
+    multi = cellhom.homogenize.multi_start_minimize
+
+    def counted(problem, opts):
+        solved.append(problem.grid.N)
+        return multi(problem, opts)
+
+    monkeypatch.setattr(cellhom.homogenize, "multi_start_minimize", counted)
+    path = write_config(tmp_path, task="tiling_check", schedule=[4, 8, 12],
+                        M=[[1.2, 0.0, 0.0, 1.0], [0.9, 0.0, 0.0, 1.0]])
+    assert run(parse_config(path), out_dir=str(tmp_path / "out")) == 0
+    assert solved == [4, 8, 12, 4, 8, 12]
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert [(c["n"], c["k"]) for c in summary["results"]["tiling"]] == [(4, 8), (4, 12)] * 2
 
 
 def test_run_tiling_uses_s0(tmp_path):
@@ -365,6 +434,22 @@ def test_main_run(tmp_path):
     out = tmp_path / "cli_out"
     assert main(["run", str(path), "--out", str(out)]) == 0
     assert (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("overrides, seed, message", [
+    ({"model": {"name": "nope"}}, None, "error: unknown model name 'nope'"),
+    ({}, "abc", "error: CELLHOM_SEED must be an integer, got 'abc'"),
+], ids=["model-name", "seed"])
+def test_main_reports_rejected_config(tmp_path, monkeypatch, capsys, overrides, seed, message):
+    # both used to end in a traceback, the seed's in "invalid literal for int()"
+    if seed is None:
+        monkeypatch.delenv("CELLHOM_SEED", raising=False)
+    else:
+        monkeypatch.setenv("CELLHOM_SEED", seed)
+    path = write_config(tmp_path, **overrides)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_rejects_retired_validate(capsys):

@@ -95,19 +95,19 @@ def test_cb_scan_small_strain(harmonic):
 
 
 def test_tiling_tension(harmonic):
-    solved, tiled = tiling_upper_bound_check(harmonic, np.diag([1.2, 1.0]), 8, 16, FAST)
+    _, [(solved, tiled)] = tiling_upper_bound_check(harmonic, np.diag([1.2, 1.0]), [8, 16], FAST)
     assert solved <= tiled + 1e-9
     # under tension the minimizer is affine, so tiling reproduces it exactly
     assert solved == pytest.approx(tiled, abs=1e-12)
 
 
 def test_tiling_identity(harmonic):
-    solved, tiled = tiling_upper_bound_check(harmonic, np.eye(2), 4, 8, TINY)
+    _, [(solved, tiled)] = tiling_upper_bound_check(harmonic, np.eye(2), [4, 8], TINY)
     assert solved <= 1e-14 and tiled <= 1e-14
 
 
 def test_tiling_compression(harmonic):
-    solved, tiled = tiling_upper_bound_check(harmonic, np.diag([0.5, 1.0]), 8, 32, FAST)
+    _, [(solved, tiled)] = tiling_upper_bound_check(harmonic, np.diag([0.5, 1.0]), [8, 32], FAST)
     assert solved <= tiled + 1e-9
     # the tiled field pays the seams: solved relaxation is strictly better
     assert solved < tiled
@@ -121,7 +121,7 @@ def test_tiling_compression(harmonic):
 def test_tiling_multilattice(multilattice, s0):
     s0 = None if s0 is None else np.array(s0)
     M = np.array([[1.05, 0.02], [0.0, 0.97]])
-    solved, tiled = tiling_upper_bound_check(multilattice, M, 4, 8, TINY, s0=s0)
+    _, [(solved, tiled)] = tiling_upper_bound_check(multilattice, M, [4, 8], TINY, s0=s0)
     assert solved <= tiled + 1e-9
     # the minimizer is affine with one internal shift in every cell, so the
     # tiled field, internal shifts included, reproduces it
@@ -130,7 +130,7 @@ def test_tiling_multilattice(multilattice, s0):
 
 def test_tiling_requires_multiple(harmonic):
     with pytest.raises(ValueError, match="multiple"):
-        tiling_upper_bound_check(harmonic, np.eye(2), 8, 12, TINY)
+        tiling_upper_bound_check(harmonic, np.eye(2), [8, 12], TINY)
 
 
 def test_quasiconvex_affine_optimal(square_spec):
@@ -239,10 +239,15 @@ def test_lj_w_cont_keeps_negative_intercept():
 
 def test_wall_times_are_recorded(harmonic):
     # every start records its own search's wall time; each per-N entry the
-    # whole cell problem's, which holds the winner's
+    # whole cell problem's, which holds the winner's, split into the grid
+    # build, the Problem assembly and the multistart
     est = w_cont_estimate(harmonic, np.diag([1.2, 1.0]), [4, 6, 8], TINY)
     for entry in est.per_N:
         assert entry["wall_s"] >= 0
+        parts = [entry["grid_s"], entry["assembly_s"], entry["multistart_s"]]
+        assert min(parts) >= 0
+        assert sum(parts) <= entry["wall_s"]
+        assert sum(s["wall_s"] for s in entry["starts"]) <= entry["multistart_s"]
         assert [s["label"] for s in entry["starts"]] == ["affine", "random-0"]
         assert all(s["wall_s"] >= 0 for s in entry["starts"])
         won = next(s for s in entry["starts"] if s["label"] == entry["start_label"])

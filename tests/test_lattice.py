@@ -38,6 +38,18 @@ def test_stencil_missing_zero_rejected():
         build_lattice(2, np.eye(2), stencil_offsets=[(1, 0)])
 
 
+@pytest.mark.parametrize("d, A, kwargs, match", [
+    (1, np.eye(1), {}, "dimension must be 2 or 3"),
+    (4, np.eye(4), {}, "dimension must be 2 or 3"),
+    (2, np.eye(3), {}, "basis must be 2x2"),
+    (2, np.eye(2), {"m": -1}, "internal atom count must be >= 0"),
+    (2, np.eye(2), {"stencil_offsets": [(0, 0), (0.5, 0)]}, "integer cell offsets"),
+], ids=["d-1", "d-4", "A-shape", "m-negative", "offset-fraction"])
+def test_build_lattice_rejects(d, A, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        build_lattice(d, A, **kwargs)
+
+
 def test_stencil_radius():
     spec = build_lattice(2, np.eye(2), stencil_offsets=[(0, 0), (1, 0), (-1, 2)])
     assert spec.radius == 3

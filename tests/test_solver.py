@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -584,12 +586,13 @@ def test_multistart_tie_within_rounding_floor_goes_to_earliest(grid5, harmonic, 
 
 class FloorProblem:
     """Energy frozen at its rounding floor with the gradient of
-    1.5 |x - 1|^2, so only slopes can rank steps; the L-BFGS unit step from
-    x = 0 overshoots to x = 3.  Evaluations with x[0] strictly inside
-    ``diverge`` raise."""
+    (stiffness / 2) |x - 1|^2, so only slopes can rank steps; the L-BFGS
+    unit step from x = 0 goes to x = stiffness, which overshoots at the
+    default 3.  Evaluations with x[0] strictly inside ``diverge`` raise."""
 
-    def __init__(self, diverge):
+    def __init__(self, diverge, stiffness=3.0):
         self.diverge = diverge
+        self.stiffness = stiffness
 
     def start_vector(self, start, internal):
         return np.zeros(2)
@@ -597,7 +600,7 @@ class FloorProblem:
     def value_and_grad(self, x):
         if self.diverge[0] < x[0] < self.diverge[1]:
             raise DivergedEvaluation("diverged evaluation")
-        return 1.0, 3.0 * (x - 1.0)
+        return 1.0, self.stiffness * (x - 1.0)
 
     def precondition(self, v):
         return v
@@ -624,6 +627,31 @@ def test_slope_search_stalls_when_every_trial_diverges():
     assert np.all(np.isfinite(res.argmin.y))
     assert res.n_evals == 2 + solver._MAX_BACKTRACKS   # start, unit step, cap
     assert res.n_backtracks == solver._MAX_BACKTRACKS
+
+
+def test_slope_search_doubles_a_step_that_is_too_short(monkeypatch):
+    # at stiffness 0.05 the unit step reaches x = 0.05, where the slope is
+    # still below 0.9 phi'(0): the search doubles it to x = 0.1 and stops;
+    # no evaluation diverges
+    problem = FloorProblem((0.0, 0.0), stiffness=0.05)
+    points = []
+    evaluate = problem.value_and_grad
+    monkeypatch.setattr(problem, "value_and_grad", lambda x: points.append(x[0]) or evaluate(x))
+    res = minimize(problem, FAST, None)
+    assert points[:3] == [0.0, 0.05, 0.1]
+    assert res.stop == "converged"
+    assert np.allclose(res.argmin.y, 1.0)
+
+
+def test_halving_search_stalls_when_every_trial_diverges():
+    # the unit step diverges too, so the search halves on energies until it
+    # runs out of trials and the start ends in line_search_stall
+    res = minimize(FloorProblem((0.0, np.inf)), FAST, None)
+    assert res.stop == "line_search_stall"
+    assert res.iterations == 0
+    assert res.n_evals == 2 + solver._MAX_BACKTRACKS   # start, unit step, cap
+    assert res.n_backtracks == solver._MAX_BACKTRACKS
+    assert np.array_equal(res.argmin.y, np.zeros(2))
 
 
 class GradientDivergesProblem(FloorProblem):
@@ -699,6 +727,19 @@ def test_multistart_names_every_failed_start(square_spec):
     with pytest.raises(DivergedEvaluation,
                        match="^all starts failed: affine, buckling, random-0, random-1$"):
         multi_start_minimize(problem, FAST)
+
+
+@pytest.mark.parametrize("grid_spec, model_spec, match", [
+    (square_lattice(), build_lattice(3, np.eye(3)), "incompatible stencil between"),
+    (build_lattice(2, 2 * np.eye(2)), square_lattice(), "different lattices"),
+    (build_lattice(2, np.eye(2), [(0, 0), (2, 0)]), build_lattice(2, np.eye(2), [(0, 0), (3, 0)]),
+     "grid too narrow"),
+], ids=["stencil", "lattice", "radius"])
+def test_problem_rejects_model_grid_mismatch(grid_spec, model_spec, match):
+    # only the model's spec is read before these checks
+    model = types.SimpleNamespace(spec=model_spec)
+    with pytest.raises(ValueError, match=match):
+        Problem(build_grid(grid_spec, 8), model, np.eye(2))
 
 
 def test_options_validation():
