@@ -42,7 +42,7 @@ ARTIFACT_VERSION = "0.1.0"
 _TASKS = ("homogenize", "cb_scan", "elastic", "tiling_check")
 _TOP_KEYS = {"lattice", "model", "task", "M", "s0", "schedule", "solver", "seed"}
 _LATTICE_KEYS = {"d", "A", "m"}
-_SOLVER_KEYS = {"grad_tol", "max_iter", "history", "n_random_starts", "perturb_amp"}
+_SOLVER_KEYS = {"grad_tol", "max_iter", "n_random_starts"}
 _MODEL_KEYS = {"name", "params"}
 
 _DEFAULT_SCHEDULES = {2: [8, 16, 32, 64], 3: [4, 6, 8, 12]}
@@ -76,6 +76,13 @@ def _require(block, key, where):
     return block[key]
 
 
+def _typed(value, kind, where):
+    """``value`` itself when it is a JSON object (``dict``) or list, else ValueError."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{where} must be a JSON {'object' if kind is dict else 'list'}")
+    return value
+
+
 def _build_model(name, params, spec):
     """The named model; every key of ``params`` must be one it reads."""
     params = dict(params)
@@ -84,10 +91,12 @@ def _build_model(name, params, spec):
     elif name == "pair_lj":
         pot = md.lennard_jones(params.pop("epsilon", 1.0), params.pop("sigma", 1.0))
         model = md.pair_potential_model(spec, pot, params.pop("cutoff", 2.5))
+        model.name = name
     elif name == "pair_harmonic":
         pot = md.harmonic_pair(params.pop("k", 1.0), params.pop("r0", 1.0),
                                shell=params.pop("shell", None))
         model = md.pair_potential_model(spec, pot, params.pop("cutoff", 1.0))
+        model.name = name
     elif name == "quasiconvex_frobenius":
         model = md.quasiconvex_wrapper_model(spec, md.frobenius_squared_density())
     elif name == "quadratic_form":
@@ -121,26 +130,26 @@ def parse_config(path) -> RunConfig:
         raise ValueError("config must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "config")
 
-    lat = _require(raw, "lattice", "config")
+    lat = _typed(_require(raw, "lattice", "config"), dict, "lattice block")
     _reject_unknown(lat, _LATTICE_KEYS, "lattice block")
     d = _integer(_require(lat, "d", "lattice block"), "lattice d")
-    A_rows = _require(lat, "A", "lattice block")
-    if len(A_rows) != d or any(len(row) != d for row in A_rows):
+    A_rows = _typed(_require(lat, "A", "lattice block"), list, "lattice A")
+    if len(A_rows) != d or any(not isinstance(row, list) or len(row) != d for row in A_rows):
         raise ValueError(f"dimension mismatch: A must be {d}x{d}")
     m = _integer(lat.get("m", 0), "lattice m")
     spec = build_lattice(d, np.array(A_rows, dtype=float), m=m)
 
-    mdl = _require(raw, "model", "config")
+    mdl = _typed(_require(raw, "model", "config"), dict, "model block")
     _reject_unknown(mdl, _MODEL_KEYS, "model block")
     model = _build_model(_require(mdl, "name", "model block"),
-                         mdl.get("params", {}), spec)
+                         _typed(mdl.get("params", {}), dict, "model params"), spec)
 
     task = _require(raw, "task", "config")
     if task not in _TASKS:
         raise ValueError(f"unknown task '{task}', expected one of {_TASKS}")
 
     M_list = []
-    for entry in raw.get("M", []):
+    for entry in _typed(raw.get("M", []), list, "M"):
         flat = np.asarray(entry, dtype=float).reshape(-1)
         if flat.size != d * d:
             raise ValueError(f"dimension mismatch: M entries must have {d * d} values")
@@ -155,11 +164,12 @@ def parse_config(path) -> RunConfig:
         if task in ("cb_scan", "elastic"):
             raise ValueError(f"s0 is not used by task '{task}'")
         s0_list = [np.asarray(v, dtype=float).reshape(d, model.m)
-                   for v in raw["s0"]]
+                   for v in _typed(raw["s0"], list, "s0")]
         if len(s0_list) not in (1, len(M_list)):
             raise ValueError("s0 list must have length 1 or match the M list")
 
-    schedule = [_integer(N, "schedule") for N in raw.get("schedule", _DEFAULT_SCHEDULES[d])]
+    schedule = [_integer(N, "schedule")
+                for N in _typed(raw.get("schedule", _DEFAULT_SCHEDULES[d]), list, "schedule")]
     r = model.spec.radius
     if any(N <= 2 * r for N in schedule):
         raise ValueError(f"schedule invalid for stencil radius {r}: need N > {2 * r}")
@@ -170,7 +180,7 @@ def parse_config(path) -> RunConfig:
         raise ValueError("tiling_check needs a schedule [n, k, ...] with at least one k, "
                          "each k a multiple of n")
 
-    sol = dict(raw.get("solver", {}))
+    sol = _typed(raw.get("solver", {}), dict, "solver block")
     _reject_unknown(sol, _SOLVER_KEYS, "solver block")
     seed = raw.get("seed", 0)
     if "CELLHOM_SEED" in os.environ:

@@ -212,12 +212,13 @@ def tiling_upper_bound_check(model: EnergyModel, M, schedule,
     Internal shifts are copied too; with ``s0`` the k-box problem moves
     them all by one uniform shift, s0 - mean, to meet the mean constraint.
     Returns the schedule's ``per_N`` records and one (f_k_solved,
-    f_k_tiled) pair per k, both energies divided by k^d.
+    f_k_tiled) pair per k, both energies divided by k^d |det A|, the unit
+    of the records' f_N.
     """
     n, *ks = [int(N) for N in schedule]
     if not ks or any(k % n for k in ks):
         raise ValueError("each k must be a multiple of n")
-    d, A = model.spec.d, model.spec.A
+    d, A, det_abs = model.spec.d, model.spec.A, model.spec.det_abs
     M = np.asarray(M, dtype=float)
 
     solved = _solve_schedule(model, M, [n, *ks], opts or SolveOptions(), s0)
@@ -247,5 +248,5 @@ def tiling_upper_bound_check(model: EnergyModel, M, schedule,
             s_k = np.where((pos >= 0)[:, None, None], res_n.internal[pos], s_base)
 
         e_tiled = problem_k.value_and_grad(problem_k.pack(tiled, s_k))[0]
-        checks.append((res_k.energy / k**d, e_tiled / k**d))
+        checks.append((res_k.energy / k**d / det_abs, e_tiled / k**d / det_abs))
     return [record for _, _, record in solved], checks

@@ -34,9 +34,11 @@ is one batch entry whose columns are its sites, and ``_moving_bonds``
 keeps of those the bonds with a free end, each evaluated once per call:
 the energies of the bonds that join two pinned sites never change, so they
 are taken once and the energy is still the whole table's sum, bit for bit.
-Gradients are exact except at the non-smooth points of bond lengths
-|b| = 0, where the zero element of the subdifferential is returned for the
-offending term.
+Quadratic forms are built and checked through the transpose map T of
+row-major vec, and the quadratic-form kernel takes its orientation penalty
+only for a batch with some cell below det Fp = delta.  Gradients are exact
+except at the non-smooth points of bond lengths |b| = 0, where the zero
+element of the subdifferential is returned for the offending term.
 """
 
 from __future__ import annotations
@@ -520,10 +522,8 @@ def quasiconvex_wrapper_model(spec: LatticeSpec, density: MatrixDensity) -> Ener
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Quadratic form Q on d x d matrices, stored via its Hessian.
-
-    Q(M) = vec(M)^T H vec(M) / 2 with H symmetric (row-major vec).
-    """
+    """Quadratic form Q(M) = vec(M)^T H vec(M) / 2 on d x d matrices, stored
+    via its Hessian H, symmetric (row-major vec)."""
 
     d: int
     H: np.ndarray
@@ -541,64 +541,35 @@ class QuadraticForm:
 
     @staticmethod
     def from_moduli(mu: float, lam: float, d: int = 2) -> "QuadraticForm":
-        """Q(M) = mu*|sym M|^2 + (lam/2)*(tr M)^2."""
-        n = d * d
-        H = np.zeros((n, n))
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    for l in range(d):
-                        h = mu * ((i == k) * (j == l) + (i == l) * (j == k))
-                        h += lam * (i == j) * (k == l)
-                        H[i * d + j, k * d + l] = h
+        """Q(M) = mu*|sym M|^2 + (lam/2)*(tr M)^2: H = mu (I + T) + lam e e^T, e = vec Id."""
+        e = np.eye(d).reshape(-1)
+        H = mu * (np.eye(d * d) + _transpose_map(d)) + lam * np.outer(e, e)
         return QuadraticForm(d=d, H=H)
 
 
-def _sym_basis(d):
-    mats = []
-    for i in range(d):
-        E = np.zeros((d, d))
-        E[i, i] = 1.0
-        mats.append(E)
-    for i in range(d):
-        for j in range(i + 1, d):
-            E = np.zeros((d, d))
-            E[i, j] = E[j, i] = 2**-0.5
-            mats.append(E)
-    return mats
-
-
-def _antisym_basis(d):
-    mats = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            E = np.zeros((d, d))
-            E[i, j] = 2**-0.5
-            E[j, i] = -(2**-0.5)
-            mats.append(E)
-    return mats
+def _transpose_map(d):
+    """The permutation T with T vec(M) = vec(M^T), row-major vec: its +1 and
+    -1 eigenspaces are the symmetric and the antisymmetric matrices."""
+    return np.eye(d * d)[np.arange(d * d).reshape(d, d).T.reshape(-1)]
 
 
 def check_quadratic_form(Q: QuadraticForm):
-    """Admissibility gate: psd, definite on symmetric, zero on antisymmetric."""
+    """Admissibility gate: psd, definite on symmetric, zero on antisymmetric.
+    Each reads Q, the symmetric part of H, on orthonormal eigenvectors of T."""
     scale = max(1.0, float(np.max(np.abs(Q.H))))
-    eig = np.linalg.eigvalsh(0.5 * (Q.H + Q.H.T))
-    if eig.min() < -1e-10 * scale:
+    H = 0.5 * (Q.H + Q.H.T)
+    if np.linalg.eigvalsh(H).min() < -1e-10 * scale:
         raise ValueError("inadmissible Q: not positive semidefinite")
-    B = np.stack([m.reshape(-1) for m in _sym_basis(Q.d)], axis=1)
-    sym_eig = np.linalg.eigvalsh(B.T @ Q.H @ B)
-    if sym_eig.min() <= 1e-10 * scale:
+    t, V = np.linalg.eigh(_transpose_map(Q.d))         # t is -1 or +1
+    sym, anti = V[:, t > 0], V[:, t < 0]
+    if np.linalg.eigvalsh(sym.T @ H @ sym).min() <= 1e-10 * scale:
         raise ValueError("inadmissible Q: not positive definite on symmetric matrices")
-    for W in _antisym_basis(Q.d):
-        if abs(Q.value(W)) > 1e-10 * scale:
-            raise ValueError("inadmissible Q: does not vanish on antisymmetric matrices")
+    if np.abs(Q.value(anti.T.reshape(-1, Q.d, Q.d))).max(initial=0.0) > 1e-10 * scale:
+        raise ValueError("inadmissible Q: does not vanish on antisymmetric matrices")
 
 
 def _smoothstep(u):
     """C-infinity step h, 0 at u <= 0 and 1 at u >= 1, and its derivative h'."""
-    u = np.asarray(u, dtype=float)
-    if np.all(u <= 0):                  # the general path gives +0.0 here too
-        return np.zeros_like(u), np.zeros_like(u)
     u = np.clip(u, 0.0, 1.0)
     a = np.where(u > 0, np.exp(-1.0 / np.where(u > 0, u, 1.0)), 0.0)
     b = np.where(u < 1, np.exp(-1.0 / np.where(u < 1, 1.0 - u, 1.0)), 0.0)
@@ -663,13 +634,7 @@ class QuadraticFormModel(EnergyModel):
         scale = self.spec.det_abs
         E1 = 0.5 * scale * (x * S11 + 2.0 * y * S12 + z * S22)
 
-        u = (self.delta - det) / (0.5 * self.delta)
-        h, dh = _smoothstep(u)
         E = E1 + reduce(np.add, np.square(Fr).reshape(2 * n, B))
-        penalized = h.any()         # else det Fp >= delta in every cell, and chi = 0
-        if penalized:
-            grow = 1.0 + reduce(np.add, np.square(X).reshape(2 * n, B))
-            E += self.kappa * h * grow
         sg = np.where(det < 0, -1.0, 1.0)
         R11, R12 = (a + sg * d) * inv_tau, (b - sg * c) * inv_tau
         R21, R22 = (c - sg * b) * inv_tau, (d + sg * a) * inv_tau
@@ -682,7 +647,10 @@ class QuadraticFormModel(EnergyModel):
         gP[0, B:] = scale * (R21 * S11 + R22 * M21)
         gP[1, B:] = scale * (R21 * M12 + R22 * S22)
         gR = 2.0 * Fr.reshape(n, 2, B)
-        if penalized:
+        if not np.all(det >= self.delta):         # else chi = 0 in every cell
+            h, dh = _smoothstep((self.delta - det) / (0.5 * self.delta))
+            grow = 1.0 + reduce(np.add, np.square(X).reshape(2 * n, B))
+            E += self.kappa * h * grow
             # d chi / d Fp = kappa h'(u) (-2 / delta) grow cof Fp
             p = self.kappa * dh * (-2.0 / self.delta) * grow
             gP[0, :B] += p * d

@@ -16,7 +16,7 @@ Any other model sees the interior cells, centred on their corner mean, and
 its cell gradients are scattered back onto the sites.
 
 The minimizer is L-BFGS over a preallocated ring of its last pairs and
-their Gram matrix: the two-loop recursion runs on at most ``history``
+their Gram matrix: the two-loop recursion runs on at most ``_HISTORY``
 floats plus four matrix-vector products.  Its initial inverse Hessian is
 H0 = gamma P^-1, with P^-1 from ``Problem.precondition``, applied once per
 accepted gradient: the descent keeps P^-1 g beside g, and the ring keeps
@@ -82,24 +82,18 @@ class DivergedEvaluation(RuntimeError):
 class SolveOptions:
     grad_tol: float = 1e-8          # sup-norm of the gradient
     max_iter: int = 5000
-    history: int = 10               # quasi-Newton memory length
     n_random_starts: int = 8
-    perturb_amp: float = 0.1        # lattice units
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_iter", "history", "n_random_starts", "seed"):
+        for name in ("max_iter", "n_random_starts", "seed"):
             _integer(getattr(self, name), name)
         if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
             raise ValueError("grad_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.history < 0:
-            raise ValueError("history must be nonnegative")
         if self.n_random_starts < 0:
             raise ValueError("n_random_starts must be nonnegative")
-        if not (np.isfinite(self.perturb_amp) and self.perturb_amp >= 0):
-            raise ValueError("perturb_amp must be nonnegative and finite")
 
 
 def _integer(value, name):
@@ -335,6 +329,7 @@ _WOLFE_DELTA = 0.1        # its decrease constant: phi'(t) <= (2 delta - 1) phi'
 _ENERGY_FLOOR = 1e-12     # relative rounding tolerance of a total energy
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 60      # trial evaluations per line search after the unit step
+_HISTORY = 10             # quasi-Newton memory length
 
 
 def _line_search(problem: Problem, x, E, direction, slope):
@@ -411,7 +406,7 @@ class _History:
         """Add the pair (s, y) with z = P^-1 y, unless it fails the curvature
         test; with P the identity, z is y."""
         sy, yy, order = float(s @ y), float(y @ y), self.order
-        if self.rho and sy > 1e-12 * (float(s @ s) * yy) ** 0.5:
+        if sy > 1e-12 * (float(s @ s) * yy) ** 0.5:
             p = order.pop(0) if len(order) == len(self.rho) else len(order)
             order.append(p)
             k = len(order)              # the filled slots are rows [0, k)
@@ -463,16 +458,16 @@ def minimize(problem: Problem, opts: SolveOptions, start: Deformation, internal_
     or when the line search finds no step (``"line_search_stall"``); the
     last accepted iterate is returned.  No accepted energy exceeds the
     previous one by more than its rounding floor.  P^-1 is applied once per
-    gradient, none with ``opts.history`` 0; where ``problem.precondition``
-    returns its argument, P is the identity and is not applied again.
+    gradient; where ``problem.precondition`` returns its argument, P is the
+    identity and is not applied again.
     """
     t0 = time.perf_counter()
     x = problem.start_vector(start, internal_start)
     E, g = problem.value_and_grad(x)
     n_evals = 1
-    pg = problem.precondition(g) if opts.history else g
+    pg = problem.precondition(g)
     identity = pg is g
-    history = _History(opts.history, g.size, identity)
+    history = _History(_HISTORY, g.size, identity)
     iterations = n_backtracks = 0
     converged = bool(np.abs(g).max(initial=0.0) <= opts.grad_tol)
     stop = "max_iter"
@@ -553,6 +548,7 @@ def _rng_for_start(seed: int, index: int) -> np.random.Generator:
 
 
 _COLLAPSED = 1e-8         # a start with a shorter stencil pair is jittered
+_PERTURB_AMP = 0.1        # amplitude of the random starts, in lattice units
 
 
 def _min_bond_length(problem: Problem, y) -> float:
@@ -585,12 +581,11 @@ def start_fields(problem: Problem, opts: SolveOptions):
     for k in range(opts.n_random_starts):
         rng = _rng_for_start(opts.seed, k)
         dfm = affine.copy()
-        noise = rng.uniform(-opts.perturb_amp, opts.perturb_amp,
-                            size=(problem.n_free, problem.d))
+        noise = rng.uniform(-_PERTURB_AMP, _PERTURB_AMP, size=(problem.n_free, problem.d))
         dfm.y[problem.free_idx] += noise
         internal = None
         if problem.m > 0 and problem.s0 is None:
-            internal = rng.uniform(-opts.perturb_amp, opts.perturb_amp,
+            internal = rng.uniform(-_PERTURB_AMP, _PERTURB_AMP,
                                    size=(problem.n_cells, problem.d, problem.m))
         starts.append((f"random-{k}", dfm, internal))
 
@@ -598,7 +593,7 @@ def start_fields(problem: Problem, opts: SolveOptions):
     # a uniform perturbation of amplitude a moves each end of a pair by at most
     # a sqrt(d), so its distance by at most 2 a sqrt(d); a second floor of
     # margin covers the rounding of the perturbed coordinates
-    parted = shortest - 2.0 * opts.perturb_amp * np.sqrt(problem.d) >= 2 * _COLLAPSED
+    parted = shortest - 2.0 * _PERTURB_AMP * np.sqrt(problem.d) >= 2 * _COLLAPSED
     first_random = len(starts) - opts.n_random_starts
     for idx, (label, dfm, internal) in enumerate(starts):
         if idx >= first_random and parted:

@@ -85,20 +85,28 @@ def test_parse_unknown_keys_rejected(tmp_path):
         parse_config(path)
 
 
-@pytest.mark.parametrize("solver", [{"seed": 5}, {"use_buckling_starts": False}])
+@pytest.mark.parametrize("solver", [{"seed": 5}, {"use_buckling_starts": False},
+                                    {"history": 10}, {"perturb_amp": 0.1}])
 def test_parse_solver_seed_and_buckling_keys_rejected(tmp_path, solver):
     # the one seed is the top-level key or CELLHOM_SEED; a solver-block seed
-    # used to override CELLHOM_SEED, and nothing reads use_buckling_starts
+    # used to override CELLHOM_SEED, and nothing reads use_buckling_starts;
+    # the L-BFGS memory and the random starts' amplitude are constants
     path = write_config(tmp_path, solver=solver)
     with pytest.raises(ValueError, match="unknown keys in solver block"):
         parse_config(path)
 
 
-def test_readme_config_schema_matches_parser():
+def test_readme_config_schema_matches_parser(tmp_path, monkeypatch):
+    # the documented schema is a config the parser accepts, and it names
+    # every key the parser accepts
     from cellhom import cli
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
-    schema = json.loads(re.sub(r"//.*", "", block))
+    path = tmp_path / "schema.json"
+    path.write_text(re.sub(r"//.*", "", block))
+    monkeypatch.delenv("CELLHOM_SEED", raising=False)
+    parse_config(path)
+    schema = json.loads(path.read_text())
     assert set(schema) == cli._TOP_KEYS
     assert set(schema["lattice"]) == cli._LATTICE_KEYS
     assert set(schema["model"]) == cli._MODEL_KEYS
@@ -128,7 +136,7 @@ def test_parse_unknown_model_params_rejected(tmp_path):
     {"lattice": {"d": 2.5, "A": [[1.0, 0.0], [0.0, 1.0]]}},
     {"lattice": {"d": 2, "A": [[1.0, 0.0], [0.0, 1.0]], "m": 1.5},
      "model": {"name": "multilattice_harmonic"}},
-    {"solver": {"max_iter": 10.5}}, {"solver": {"history": True}},
+    {"solver": {"max_iter": 10.5}}, {"solver": {"n_random_starts": True}},
     {"solver": {"grad_tol": float("nan")}},
     {"model": {"name": "quadratic_form", "params": {"kappa": float("nan")}}},
     {"M": [[float("nan"), 0.0, 0.0, 1.0]]},
@@ -136,7 +144,7 @@ def test_parse_unknown_model_params_rejected(tmp_path):
     {"lattice": {"d": 2, "A": [[1.0, 0.0], [0.0, 1.0]], "m": 1},
      "model": {"name": "multilattice_harmonic"}, "s0": [[float("nan"), 0.0]]},
     {"M": [[float("inf"), 0.0, 0.0, 1.0]]}, {"M": [[1.2, 0.0, 0.0, "1e999"]]},
-], ids=["seed-float", "seed-bool", "schedule", "d", "m", "max_iter", "history", "grad_tol",
+], ids=["seed-float", "seed-bool", "schedule", "d", "m", "max_iter", "n_random_starts", "grad_tol",
         "kappa-nan", "M-nan", "k-nan", "s0-nan", "M-inf", "M-overflow"])
 def test_parse_non_integer_or_non_finite_rejected(tmp_path, monkeypatch, overrides):
     # each used to be truncated to an integer or passed on without a word;
@@ -190,7 +198,14 @@ _MULTILATTICE = {"lattice": {"d": 2, "A": [[1.0, 0.0], [0.0, 1.0]], "m": 1},
     ({"M": []}, "missing field 'M'"),
     ({**_MULTILATTICE, "M": [[1.05, 0.0, 0.0, 1.0]] * 2, "s0": [[0.0, 0.0]] * 3},
      "s0 list must have length 1 or match the M list"),
-], ids=["model-name", "no-M", "s0-length"])
+    ({"model": "harmonic"}, "model block must be a JSON object"),
+    ({"M": 1.2}, "M must be a JSON list"),
+    ({**_MULTILATTICE, "s0": 0.02}, "s0 must be a JSON list"),
+    ({"solver": [1]}, "solver block must be a JSON object"),
+    ({"lattice": {"d": 2, "A": 1.0}}, "lattice A must be a JSON list"),
+    ({"lattice": {"d": 2, "A": [[1.0, 0.0], 1.0]}}, "dimension mismatch: A must be 2x2"),
+], ids=["model-name", "no-M", "s0-length", "model-type", "M-type", "s0-type", "solver-type",
+        "A-type", "A-row-type"])
 def test_parse_rejects_config(tmp_path, overrides, match):
     with pytest.raises(ValueError, match=re.escape(match)):
         parse_config(write_config(tmp_path, **overrides))
@@ -274,6 +289,18 @@ def test_summary_names_the_preconditioner(tmp_path, model, M, expected):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     per_N = summary["results"]["estimates"][0]["per_N"]
     assert [d["precondition"] for d in per_N] == [expected] * 3
+
+
+@pytest.mark.parametrize("model", [
+    {"name": "pair_lj", "params": {"sigma": 2 ** (-1 / 6), "cutoff": 1.2}},
+    {"name": "pair_harmonic", "params": {"r0": 1.1}},
+], ids=["pair_lj", "pair_harmonic"])
+def test_pair_models_are_named_after_their_config_name(tmp_path, model):
+    # the model column tells the two pair models apart
+    path = write_config(tmp_path, model=model, solver={"n_random_starts": 0})
+    assert run(parse_config(path), out_dir=str(tmp_path / "out")) == 0
+    rows = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == [model["name"]] * 3
 
 
 def test_run_deterministic_csv(tmp_path):
@@ -439,9 +466,14 @@ def test_main_run(tmp_path):
 @pytest.mark.parametrize("overrides, seed, message", [
     ({"model": {"name": "nope"}}, None, "error: unknown model name 'nope'"),
     ({}, "abc", "error: CELLHOM_SEED must be an integer, got 'abc'"),
-], ids=["model-name", "seed"])
+    ({"lattice": 5}, None, "error: lattice block must be a JSON object"),
+    ({"schedule": 8}, None, "error: schedule must be a JSON list"),
+    ({"model": {"name": "harmonic", "params": [1]}}, None,
+     "error: model params must be a JSON object"),
+], ids=["model-name", "seed", "lattice-type", "schedule-type", "params-type"])
 def test_main_reports_rejected_config(tmp_path, monkeypatch, capsys, overrides, seed, message):
-    # both used to end in a traceback, the seed's in "invalid literal for int()"
+    # each used to end in a traceback: the seed's in "invalid literal for
+    # int()", a block of the wrong type in a TypeError that exited 1
     if seed is None:
         monkeypatch.delenv("CELLHOM_SEED", raising=False)
     else:

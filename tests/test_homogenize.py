@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cellhom import (QuadraticForm, SolveOptions, cauchy_born_density,
+from cellhom import (QuadraticForm, SolveOptions, build_lattice, cauchy_born_density,
                      cb_validity_scan, f_N, frobenius_squared_density,
                      lennard_jones, pair_potential_model, quadratic_form_model,
                      quasiconvex_wrapper_model, square_lattice,
@@ -115,6 +115,17 @@ def test_tiling_compression(harmonic):
     # Tiles contribute (k/n)^d copies of the n-box energy; seams add O(1)
     # cells at the affine density 0.25.
     assert tiled <= n_value + 0.25 * (32**2 - 16 * 6**2) / 32**2 + 1e-9
+
+
+def test_tiling_reports_f_N_units_on_a_triangular_lattice():
+    # f_k_solved and f_k_tiled are in the unit of the per-N records' f_N,
+    # energy / k^d / |det A|, and |det A| = sqrt(3)/2 here
+    spec = build_lattice(2, np.array([[1.0, 0.5], [0.0, np.sqrt(3) / 2]]))
+    model = pair_potential_model(spec, lennard_jones(1.0, 2 ** (-1 / 6)), 1.8)
+    per_N, [(solved, tiled)] = tiling_upper_bound_check(model, np.eye(2), [6, 12],
+                                                        SolveOptions(n_random_starts=0))
+    assert solved == per_N[1]["f_N"]
+    assert solved <= tiled + 1e-9
 
 
 @pytest.mark.parametrize("s0", [None, [[0.02], [0.01]]], ids=["relaxed", "s0"])

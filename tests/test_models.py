@@ -438,6 +438,24 @@ def test_inadmissible_q_rejected(square_spec):
         quadratic_form_model(square_spec, QuadraticForm(d=2, H=np.zeros((4, 4))))
 
 
+def test_quadratic_penalty_that_underflows_changes_nothing(square_spec):
+    # just below det Fp = delta the step h(u) underflows to 0, so the
+    # penalty adds zeros: the same bits as a model whose delta the cells
+    # clear, which skips it
+    model = quadratic_form_model(square_spec, QuadraticForm.from_moduli(1.0, 0.5))
+    clear = quadratic_form_model(square_spec, QuadraticForm.from_moduli(1.0, 0.5), delta=0.45)
+    s = np.sqrt(model.delta)
+    F = np.stack([rotation(t) @ np.diag([s, s * (1.0 - 10.0**-e)]) @ square_spec.corners
+                  for t, e in [(0.0, 4), (0.3, 6), (2.0, 8), (4.0, 12)]])
+    det = np.linalg.det(F @ model._lift)
+    assert np.all((det < model.delta) & (det >= clear.delta))
+    assert not _smoothstep((model.delta - det) / (0.5 * model.delta))[0].any()
+    E, (gF, _) = model._evaluate(F, None)
+    E_ref, (gF_ref, _) = clear._evaluate(F, None)
+    assert E.tobytes() == E_ref.tobytes()
+    assert np.ascontiguousarray(gF).tobytes() == np.ascontiguousarray(gF_ref).tobytes()
+
+
 def test_quadratic_unpenalized_batch_matches_general_path(square_spec, rng):
     # a batch with det Fp >= delta in every cell skips the orientation
     # penalty; a batch that also holds penalized cells takes the general
@@ -459,6 +477,84 @@ def test_quadratic_unpenalized_batch_matches_general_path(square_spec, rng):
 
 def test_check_quadratic_form_accepts_moduli():
     check_quadratic_form(QuadraticForm.from_moduli(2.0, 1.0))
+
+
+def loop_moduli(mu, lam, d):
+    """H of Q(M) = mu |sym M|^2 + (lam/2)(tr M)^2, entry by entry."""
+    H = np.zeros((d * d, d * d))
+    for i, j, k, l in np.ndindex(d, d, d, d):
+        h = mu * ((i == k) * (j == l) + (i == l) * (j == k))
+        h += lam * (i == j) * (k == l)
+        H[i * d + j, k * d + l] = h
+    return H
+
+
+def basis_check_quadratic_form(Q):
+    """The admissibility gate on hand-built bases of the symmetric and the
+    antisymmetric matrices: the reference for ``check_quadratic_form``."""
+    d = Q.d
+    scale = max(1.0, float(np.max(np.abs(Q.H))))
+    if np.linalg.eigvalsh(0.5 * (Q.H + Q.H.T)).min() < -1e-10 * scale:
+        raise ValueError("inadmissible Q: not positive semidefinite")
+    sym, anti = [], []
+    for i in range(d):
+        E = np.zeros((d, d))
+        E[i, i] = 1.0
+        sym.append(E)
+    for i in range(d):
+        for j in range(i + 1, d):
+            E = np.zeros((d, d))
+            E[i, j] = E[j, i] = 2**-0.5
+            sym.append(E)
+            W = np.zeros((d, d))
+            W[i, j], W[j, i] = 2**-0.5, -(2**-0.5)
+            anti.append(W)
+    B = np.stack([m.reshape(-1) for m in sym], axis=1)
+    if np.linalg.eigvalsh(B.T @ Q.H @ B).min() <= 1e-10 * scale:
+        raise ValueError("inadmissible Q: not positive definite on symmetric matrices")
+    for W in anti:
+        if abs(Q.value(W)) > 1e-10 * scale:
+            raise ValueError("inadmissible Q: does not vanish on antisymmetric matrices")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_from_moduli_matches_entrywise_hessian(d):
+    for mu in (0.0, 0.5, 1.0, -0.3, 2.0):
+        for lam in (0.0, 0.5, 1.0, -0.3, 2.0):
+            H = QuadraticForm.from_moduli(mu, lam, d).H
+            assert H.tobytes() == loop_moduli(mu, lam, d).tobytes(), (mu, lam)
+
+
+def test_check_quadratic_form_matches_basis_reference():
+    # 400 random forms, d = 2 and 3: psd and zero on antisymmetric matrices,
+    # psd with an antisymmetric part, indefinite, nearly vanishing on
+    # antisymmetric matrices, and isotropic; each verdict (None or the
+    # message) is the hand-built bases' one.  A non-symmetric H gets the
+    # verdict of its symmetric part, which holds the same Q.
+    rng = np.random.default_rng(30)
+    verdicts = set()
+
+    def verdict(check, Q):
+        try:
+            check(Q)
+        except ValueError as err:
+            return str(err)
+
+    for it in range(400):
+        d = 2 + it % 2
+        n = d * d
+        T = np.eye(n)[np.arange(n).reshape(d, d).T.reshape(-1)]
+        Ps = 0.5 * (np.eye(n) + T)              # projection onto symmetric matrices
+        G = rng.standard_normal((n, rng.integers(1, n + 1)))
+        H = [Ps @ G @ G.T @ Ps, G @ G.T, G @ G.T - 0.5 * np.eye(n),
+             Ps @ G @ G.T @ Ps + 1e-3 * rng.standard_normal() * (np.eye(n) - T),
+             QuadraticForm.from_moduli(*rng.uniform(-0.5, 2.0, 2), d).H][it % 5]
+        expected = verdict(basis_check_quadratic_form, QuadraticForm(d, H.copy()))
+        assert verdict(check_quadratic_form, QuadraticForm(d, H.copy())) == expected, it
+        A = rng.standard_normal((n, n))
+        assert verdict(check_quadratic_form, QuadraticForm(d, H + A - A.T)) == expected, it
+        verdicts.add(expected)
+    assert len(verdicts) == 4                   # each condition rejects, and some pass
 
 
 def mp_quadratic_reference(model, F):
@@ -570,8 +666,9 @@ def test_smoothstep_values_and_derivative():
 
 
 def test_smoothstep_early_exit_is_general_path():
-    # with no positive u the step returns zeros at once; the general path
-    # gives the same bits on those entries of a mixed input
+    # the quadratic-form kernel skips the step when no u is positive (det
+    # Fp >= delta in every cell): the step gives +0.0 there, the same bits
+    # alone as in a mixed input
     u = np.array([-2.0, -1e-300, -0.0, 0.0, 0.1, 0.5, 1.0, 2.0])
     off = u <= 0
     h, dh = _smoothstep(u)

@@ -299,7 +299,7 @@ def test_start_jitter_ignores_pinned_pairs(square_spec, harmonic):
     assert list(starts) == ["affine", "random-0"]
     affine = affine_deformation(problem.grid, M).y
     noise = solver._rng_for_start(opts.seed, 0).uniform(
-        -opts.perturb_amp, opts.perturb_amp, size=(problem.n_free, 2))
+        -solver._PERTURB_AMP, solver._PERTURB_AMP, size=(problem.n_free, 2))
     expected = affine.copy()
     expected[problem.free_idx] += noise
     assert np.array_equal(starts["random-0"].y, expected)
@@ -340,18 +340,18 @@ def test_start_screen_matches_brute_force(case, square_spec, harmonic, multilatt
             assert solver._min_bond_length(problem, y) == brute_min_bond_length(problem, y)
 
 
-@pytest.mark.parametrize("M, amp, screened", [
-    (np.diag([1.2, 1.0]), 0.1, ["affine"]),                 # 1 - 0.2 sqrt(2) >= 2e-8
-    (np.diag([1.2, 1.0]), 0.4, ["affine", "random-0", "random-1"]),
-    (np.diag([1.0, 0.1]), 0.1, ["affine", "buckling", "random-0", "random-1"]),
+@pytest.mark.parametrize("M, screened", [
+    (np.diag([1.2, 1.0]), ["affine"]),                      # 1 - 0.2 sqrt(2) >= 2e-8
+    (np.array([[1.0, -1.0], [0.0, 0.2]]), ["affine", "random-0", "random-1"]),  # a 0.2 diagonal
+    (np.diag([1.0, 0.1]), ["affine", "buckling", "random-0", "random-1"]),
 ])
-def test_random_starts_are_screened_unless_provably_parted(M, amp, screened, square_spec,
+def test_random_starts_are_screened_unless_provably_parted(M, screened, square_spec,
                                                            harmonic, monkeypatch):
-    # a uniform perturbation of amplitude a moves a pair's distance by at
-    # most 2 a sqrt(d), so the random starts are screened only where the
+    # a uniform perturbation of amplitude a = 0.1 moves a pair's distance by
+    # at most 2 a sqrt(d), so the random starts are screened only where the
     # affine start's shortest pair could collapse under it
     problem = Problem(build_grid(square_spec, 8), harmonic, M)
-    opts = SolveOptions(n_random_starts=2, perturb_amp=amp)
+    opts = SolveOptions(n_random_starts=2)
     seen = []
     screen = solver._min_bond_length
     monkeypatch.setattr(solver, "_min_bond_length",
@@ -747,17 +747,12 @@ def test_options_validation():
         SolveOptions(grad_tol=0.0)
     with pytest.raises(ValueError):
         SolveOptions(max_iter=0)
-    with pytest.raises(ValueError):
-        SolveOptions(perturb_amp=-1.0)
-    with pytest.raises(ValueError, match="history"):
-        SolveOptions(history=-1)
     with pytest.raises(ValueError, match="n_random_starts"):
         SolveOptions(n_random_starts=-2)
-    SolveOptions(history=0, n_random_starts=0)   # steepest descent, affine start only
+    SolveOptions(n_random_starts=0)             # affine start only
     # non-integer counts used to fail only inside the solve, or never
-    for bad in ({"history": 2.5}, {"n_random_starts": 1.5}, {"max_iter": 10.5},
-                {"history": True}, {"seed": 3.7}, {"grad_tol": np.nan},
-                {"perturb_amp": np.nan}, {"grad_tol": np.inf}):
+    for bad in ({"n_random_starts": 1.5}, {"max_iter": 10.5}, {"n_random_starts": True},
+                {"seed": 3.7}, {"grad_tol": np.nan}, {"grad_tol": np.inf}):
         with pytest.raises(ValueError, match="integer|finite"):
             SolveOptions(**bad)
     SolveOptions(max_iter=np.int64(10), seed=np.uint64(2**63))   # numpy integers are integers
@@ -783,7 +778,7 @@ def test_two_loop_matches_textbook():
     # random pairs y = A s of a well-conditioned SPD A, fed to the solver's
     # ring and to a plain list that keeps the last `history` accepted pairs
     rng = np.random.default_rng(11)
-    n, size = 40, SolveOptions().history
+    n, size = 40, solver._HISTORY
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     A = Q @ np.diag(rng.uniform(1.0, 10.0, n)) @ Q.T
     history, pairs = solver._History(size, n), []
@@ -826,7 +821,7 @@ def test_preconditioned_two_loop_matches_textbook():
     # H0 = gamma P^-1 for an SPD P far from a multiple of the identity; the
     # first direction stays steepest descent
     rng = np.random.default_rng(12)
-    n, size = 40, SolveOptions().history
+    n, size = 40, solver._HISTORY
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     A = Q @ np.diag(rng.uniform(1.0, 10.0, n)) @ Q.T
     B = rng.standard_normal((n, n))
@@ -1016,8 +1011,7 @@ def test_backtracks_count_trial_steps_after_the_unit_step():
 
 def test_one_preconditioner_application_per_iteration(square_spec, harmonic):
     # pg = P^-1 g is kept beside g and the history keeps P^-1 y beside y, so
-    # each accepted gradient is preconditioned once, the first one included;
-    # with no history nothing is
+    # each accepted gradient is preconditioned once, the first one included
     M = np.diag([1.2, 1.0])
     problem = Problem(build_grid(square_spec, 16), harmonic, M)
     assert problem.preconditioner == "stiffness"
@@ -1025,10 +1019,9 @@ def test_one_preconditioner_application_per_iteration(square_spec, harmonic):
     apply = problem.precondition
     problem.precondition = lambda v: calls.append(1) or apply(v)
     iterations = []
-    for opts in (FAST, SolveOptions(n_random_starts=2, history=0, max_iter=50)):
-        for label, dfm, internal in start_fields(problem, opts):
-            calls.clear()
-            res = minimize(problem, opts, dfm, internal, start_label=label)
-            assert len(calls) == (res.iterations + 1 if opts.history else 0), label
-            iterations.append(res.iterations)
+    for label, dfm, internal in start_fields(problem, FAST):
+        calls.clear()
+        res = minimize(problem, FAST, dfm, internal, start_label=label)
+        assert len(calls) == res.iterations + 1, label
+        iterations.append(res.iterations)
     assert min(iterations[1:3]) > 0
