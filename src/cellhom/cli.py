@@ -25,7 +25,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -33,19 +33,53 @@ from . import homogenize as hm
 from . import models as md
 from .elasticity import cauchy_residuals, numeric_elastic_tensor, voigt_matrix
 from .lattice import build_lattice
-from .solver import SolveOptions, _integer
+from .solver import SolveOptions
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
 ARTIFACT_VERSION = "0.1.0"
 
-_TASKS = ("homogenize", "cb_scan", "elastic", "tiling_check")
-_TOP_KEYS = {"lattice", "model", "task", "M", "s0", "schedule", "solver", "seed"}
-_LATTICE_KEYS = {"d", "A", "m"}
-_SOLVER_KEYS = {"grad_tol", "max_iter", "n_random_starts"}
-_MODEL_KEYS = {"name", "params"}
-
 _DEFAULT_SCHEDULES = {2: [8, 16, 32, 64], 3: [4, 6, 8, 12]}
+_REQUIRED = object()
+_JSON_TYPES = {"object": dict, "list": list, "string": str, "integer": int, "number": (int, float),
+               "list or null": (list, type(None)), "number or null": (int, float, type(None))}
+
+# Each config key once, as key: (JSON type, default); a type that is a table
+# is a nested block's, and _REQUIRED a key that must be given.  The solver
+# keys and defaults are SolveOptions' but the seed; schedule None is d's own.
+_SCHEMA = {
+    "lattice": ({"d": ("integer", _REQUIRED), "A": ("list", _REQUIRED), "m": ("integer", 0)},
+                _REQUIRED),
+    "model": ({"name": ("string", _REQUIRED), "params": ("object", {})}, _REQUIRED),
+    "task": ("string", _REQUIRED),
+    "M": ("list", []),
+    "s0": ("list or null", None),
+    "schedule": ("list", None),
+    "solver": ({f.name: ({"int": "integer", "float": "number"}[f.type], f.default)
+                for f in fields(SolveOptions) if f.name != "seed"}, {}),
+    "seed": ("integer", 0),
+}
+
+# Every model once, as name: (its params, keyed as in _SCHEMA, a default of
+# None the factory's own, and the factory that takes them as keywords).
+_MODELS = {
+    "harmonic": ({"k": ("number", 1.0), "r0": ("number", 1.0)}, md.harmonic_spring_model),
+    "pair_lj": ({"epsilon": ("number", 1.0), "sigma": ("number", 1.0), "cutoff": ("number", 2.5)},
+        lambda spec, cutoff, **pot: md.pair_potential_model(spec, md.lennard_jones(**pot), cutoff)),
+    "pair_harmonic": (
+        {"k": ("number", 1.0), "r0": ("number", 1.0), "cutoff": ("number", 1.0),
+         "shell": ("number or null", None)},
+        lambda spec, cutoff, **pot: md.pair_potential_model(spec, md.harmonic_pair(**pot), cutoff)),
+    "quasiconvex_frobenius": (
+        {}, lambda spec: md.quasiconvex_wrapper_model(spec, md.frobenius_squared_density())),
+    "quadratic_form": (
+        {"mu": ("number", 1.0), "lam": ("number", 0.0), "kappa": ("number", 1.0),
+         "delta": ("number", 0.5)},
+        lambda spec, mu, lam, **penalty: md.quadratic_form_model(
+            spec, md.QuadraticForm.from_moduli(mu, lam, d=spec.d), **penalty)),
+    "multilattice_harmonic": ({"k": ("number", 1.0), "r0": ("number", None)},
+                              md.multilattice_harmonic_model),
+}
 
 
 @dataclass
@@ -64,54 +98,36 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _reject_unknown(block, allowed, where):
-    unknown = set(block) - allowed
-    if unknown:
-        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _require(block, key, where):
-    if key not in block:
-        raise ValueError(f"missing field '{key}' in {where}")
-    return block[key]
-
-
-def _typed(value, kind, where):
-    """``value`` itself when it is a JSON object (``dict``) or list, else ValueError."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{where} must be a JSON {'object' if kind is dict else 'list'}")
+def _checked(value, kind, name):
+    """``value`` if it has the JSON type ``kind``, which a bool never has, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ValueError(f"{name} must be a JSON {kind}")
     return value
 
 
-def _build_model(name, params, spec):
-    """The named model; every key of ``params`` must be one it reads."""
-    params = dict(params)
-    if name == "harmonic":
-        model = md.harmonic_spring_model(spec, params.pop("k", 1.0), params.pop("r0", 1.0))
-    elif name == "pair_lj":
-        pot = md.lennard_jones(params.pop("epsilon", 1.0), params.pop("sigma", 1.0))
-        model = md.pair_potential_model(spec, pot, params.pop("cutoff", 2.5))
-        model.name = name
-    elif name == "pair_harmonic":
-        pot = md.harmonic_pair(params.pop("k", 1.0), params.pop("r0", 1.0),
-                               shell=params.pop("shell", None))
-        model = md.pair_potential_model(spec, pot, params.pop("cutoff", 1.0))
-        model.name = name
-    elif name == "quasiconvex_frobenius":
-        model = md.quasiconvex_wrapper_model(spec, md.frobenius_squared_density())
-    elif name == "quadratic_form":
-        Q = md.QuadraticForm.from_moduli(params.pop("mu", 1.0),
-                                         params.pop("lam", 0.0), d=spec.d)
-        model = md.quadratic_form_model(spec, Q, kappa=params.pop("kappa", 1.0),
-                                        delta=params.pop("delta", 0.5))
-    elif name == "multilattice_harmonic":
-        r0 = params.pop("r0", float(np.linalg.norm(spec.corners[:, 0])))
-        model = md.multilattice_harmonic_model(spec, params.pop("k", 1.0), r0)
-    else:
-        raise ValueError(f"unknown model name '{name}'")
-    if params:
-        raise ValueError(f"unknown model params: {sorted(params)}")
-    return model
+def _walk(block, schema, where):
+    """``block``'s values by ``schema``'s keys, defaults filled in; ValueError
+    names an unknown or missing key and a value of the wrong JSON type."""
+    _checked(block, "object", where)
+    if unknown := set(block) - set(schema):
+        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+    prefix = "" if where == "config" else where.removesuffix(" block") + " "
+    values = {}
+    for key, (kind, default) in schema.items():
+        if key not in block and default is _REQUIRED:
+            raise ValueError(f"missing field '{key}' in {where}")
+        if isinstance(kind, dict):
+            values[key] = _walk(block.get(key, default), kind, f"{prefix}{key} block")
+        else:
+            values[key] = _checked(block[key], kind, prefix + key) if key in block else default
+    return values
+
+
+def _numbers(value, name):
+    """``value``, a JSON number or nested lists of them, as a float array."""
+    for item in np.asarray(value, dtype=object).flat:
+        _checked(item, "number", f"each {name} value")
+    return np.asarray(value, dtype=float)
 
 
 def _finite(text):
@@ -126,50 +142,44 @@ def parse_config(path) -> RunConfig:
     """Load and validate a run config; fills documented defaults."""
     with open(path) as fh:
         raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
-    if not isinstance(raw, dict):
-        raise ValueError("config must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
+    top = _walk(raw, _SCHEMA, "config")
 
-    lat = _typed(_require(raw, "lattice", "config"), dict, "lattice block")
-    _reject_unknown(lat, _LATTICE_KEYS, "lattice block")
-    d = _integer(_require(lat, "d", "lattice block"), "lattice d")
-    A_rows = _typed(_require(lat, "A", "lattice block"), list, "lattice A")
+    d, A_rows = top["lattice"]["d"], top["lattice"]["A"]
     if len(A_rows) != d or any(not isinstance(row, list) or len(row) != d for row in A_rows):
         raise ValueError(f"dimension mismatch: A must be {d}x{d}")
-    m = _integer(lat.get("m", 0), "lattice m")
-    spec = build_lattice(d, np.array(A_rows, dtype=float), m=m)
+    spec = build_lattice(d, _numbers(A_rows, "lattice A"), m=top["lattice"]["m"])
 
-    mdl = _typed(_require(raw, "model", "config"), dict, "model block")
-    _reject_unknown(mdl, _MODEL_KEYS, "model block")
-    model = _build_model(_require(mdl, "name", "model block"),
-                         _typed(mdl.get("params", {}), dict, "model params"), spec)
+    name = top["model"]["name"]
+    if name not in _MODELS:
+        raise ValueError(f"unknown model name '{name}'")
+    params, factory = _MODELS[name]
+    model = factory(spec, **_walk(top["model"]["params"], params, "model params"))
+    if model.name == "pair":            # results.csv tells the two pair models apart
+        model.name = name
 
-    task = _require(raw, "task", "config")
+    task = top["task"]
     if task not in _TASKS:
-        raise ValueError(f"unknown task '{task}', expected one of {_TASKS}")
+        raise ValueError(f"unknown task '{task}', expected one of {tuple(_TASKS)}")
 
-    M_list = []
-    for entry in _typed(raw.get("M", []), list, "M"):
-        flat = np.asarray(entry, dtype=float).reshape(-1)
-        if flat.size != d * d:
-            raise ValueError(f"dimension mismatch: M entries must have {d * d} values")
-        M_list.append(flat.reshape(d, d))
+    M_list = [_numbers(entry, "M") for entry in top["M"]]
+    if any(M.size != d * d for M in M_list):
+        raise ValueError(f"dimension mismatch: M entries must have {d * d} values")
+    M_list = [M.reshape(d, d) for M in M_list]
     if task in ("homogenize", "cb_scan", "tiling_check") and not M_list:
         raise ValueError("missing field 'M' in config")
 
     s0_list = None
-    if raw.get("s0") is not None:
+    if top["s0"] is not None:
         if model.m == 0:
             raise ValueError("internal variables undefined for Bravais model")
         if task in ("cb_scan", "elastic"):
             raise ValueError(f"s0 is not used by task '{task}'")
-        s0_list = [np.asarray(v, dtype=float).reshape(d, model.m)
-                   for v in _typed(raw["s0"], list, "s0")]
+        s0_list = [_numbers(v, "s0").reshape(d, model.m) for v in top["s0"]]
         if len(s0_list) not in (1, len(M_list)):
             raise ValueError("s0 list must have length 1 or match the M list")
 
-    schedule = [_integer(N, "schedule")
-                for N in _typed(raw.get("schedule", _DEFAULT_SCHEDULES[d]), list, "schedule")]
+    schedule = [_checked(N, "integer", "each schedule value")
+                for N in (_DEFAULT_SCHEDULES[d] if top["schedule"] is None else top["schedule"])]
     r = model.spec.radius
     if any(N <= 2 * r for N in schedule):
         raise ValueError(f"schedule invalid for stencil radius {r}: need N > {2 * r}")
@@ -180,20 +190,17 @@ def parse_config(path) -> RunConfig:
         raise ValueError("tiling_check needs a schedule [n, k, ...] with at least one k, "
                          "each k a multiple of n")
 
-    sol = _typed(raw.get("solver", {}), dict, "solver block")
-    _reject_unknown(sol, _SOLVER_KEYS, "solver block")
-    seed = raw.get("seed", 0)
+    seed = top["seed"]
     if "CELLHOM_SEED" in os.environ:
         try:
             seed = int(os.environ["CELLHOM_SEED"])
         except ValueError:
             raise ValueError("CELLHOM_SEED must be an integer, "
                              f"got {os.environ['CELLHOM_SEED']!r}") from None
-    solver = SolveOptions(**sol, seed=seed)
+    solver = SolveOptions(**top["solver"], seed=seed)
 
-    return RunConfig(raw=raw, model=model, task=task,
-                     M_list=M_list, s0_list=s0_list, schedule=schedule,
-                     solver=solver)
+    return RunConfig(raw=raw, model=model, task=task, M_list=M_list, s0_list=s0_list,
+                     schedule=schedule, solver=solver)
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +285,7 @@ def _run_homogenize(config: RunConfig):
 
 
 def _run_cb_scan(config: RunConfig):
-    scan = hm.cb_validity_scan(config.model, config.M_list, config.schedule,
-                               config.solver)
-
+    scan = hm.cb_validity_scan(config.model, config.M_list, config.schedule, config.solver)
     rows, table, warnings, estimates, solved = [], [], [], [], []
     for M, entry in zip(config.M_list, scan):
         est = entry["result"]
@@ -306,11 +311,8 @@ def _run_elastic(config: RunConfig):
     report = cauchy_residuals(tensor)
     rows = ["i,j,k,l,c_ijkl"]
     d = model.spec.d
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                for l in range(d):
-                    rows.append(f"{i+1},{j+1},{k+1},{l+1},{_fmt(tensor.c[i, j, k, l])}")
+    for i, j, k, l in np.ndindex(d, d, d, d):
+        rows.append(f"{i+1},{j+1},{k+1},{l+1},{_fmt(tensor.c[i, j, k, l])}")
     summary = {
         "voigt": voigt_matrix(tensor).tolist(),
         "cauchy_residuals": report.residuals,
@@ -346,16 +348,14 @@ def _run_tiling(config: RunConfig):
     return rows, {"tiling": checks, "schedules": schedules}, warnings, [], solved
 
 
+_TASKS = {"homogenize": _run_homogenize, "cb_scan": _run_cb_scan, "elastic": _run_elastic,
+          "tiling_check": _run_tiling}
+
+
 def run(config: RunConfig, out_dir=".") -> int:
     """Execute the configured task; write results.csv/summary.json/plotdata."""
     os.makedirs(out_dir, exist_ok=True)
-    runner = {
-        "homogenize": _run_homogenize,
-        "cb_scan": _run_cb_scan,
-        "elastic": _run_elastic,
-        "tiling_check": _run_tiling,
-    }[config.task]
-    rows, results, warnings, estimates, solved = runner(config)
+    rows, results, warnings, estimates, solved = _TASKS[config.task](config)
 
     with open(os.path.join(out_dir, "results.csv"), "w") as fh:
         lines = rows if config.task == "elastic" else [_CSV_HEADER, *rows]

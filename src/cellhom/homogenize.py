@@ -101,14 +101,13 @@ def _solve_schedule(model: EnergyModel, M, schedule, opts: SolveOptions, s0=None
 
 
 def f_N(model: EnergyModel, M, N, opts: SolveOptions | None = None, s0=None) -> float:
-    """Cell-problem value at one box size: minimized energy over N^d.
+    """Cell-problem value at one box size, in density units: the minimized
+    energy over N^d |det A|, the ``f_N`` of the box size's ``per_N`` record.
 
     This is an upper bound on the true infimum (local multistart search);
-    it is *not* normalized by the interior-cell count or the cell volume.
+    it is *not* normalized by the interior-cell count.
     """
-    N = int(N)
-    result = _solve_schedule(model, M, [N], opts or SolveOptions(), s0)[0][1]
-    return result.energy / N**model.spec.d
+    return _solve_schedule(model, M, [int(N)], opts or SolveOptions(), s0)[0][2]["f_N"]
 
 
 def _fit_schedule(schedule):

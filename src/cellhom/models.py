@@ -555,9 +555,10 @@ def _transpose_map(d):
 
 def check_quadratic_form(Q: QuadraticForm):
     """Admissibility gate: psd, definite on symmetric, zero on antisymmetric.
-    Each reads Q, the symmetric part of H, on orthonormal eigenvectors of T."""
-    scale = max(1.0, float(np.max(np.abs(Q.H))))
+    Each reads Q, the symmetric part of H, on orthonormal eigenvectors of T,
+    and so does the scale of their tolerances."""
     H = 0.5 * (Q.H + Q.H.T)
+    scale = max(1.0, float(np.max(np.abs(H))))
     if np.linalg.eigvalsh(H).min() < -1e-10 * scale:
         raise ValueError("inadmissible Q: not positive semidefinite")
     t, V = np.linalg.eigh(_transpose_map(Q.d))         # t is -1 or +1
@@ -594,7 +595,8 @@ class QuadraticFormModel(EnergyModel):
     """
 
     def __init__(self, spec, Q, kappa, delta):
-        qmax = float(np.max(np.abs(np.linalg.eigvalsh(Q.H))))
+        H = 0.5 * (Q.H + Q.H.T)             # Q's symmetric part: one for every H of Q
+        qmax = float(np.max(np.abs(np.linalg.eigvalsh(H))))
         super().__init__(
             "quadratic-form", spec,
             growth=(min(0.5, 0.05 * kappa),
@@ -609,7 +611,7 @@ class QuadraticFormModel(EnergyModel):
         self._lift = Z.T @ np.linalg.inv(Z @ Z.T)   # Fp = F @ lift
         # Q on symmetric matrices [[x, y], [y, z]] is w^T K w / 2, w = (x, y, z)
         P = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
-        self._K = P.T @ (0.5 * (Q.H + Q.H.T)) @ P
+        self._K = P.T @ H @ P
 
     def _evaluate(self, F, S, bonds=None):
         """Fp = [[a, b], [c, d]] and the class docstring's formulas on rows X of F."""
@@ -690,14 +692,15 @@ def quadratic_form_model(spec: LatticeSpec, Q: QuadraticForm,
 # ---------------------------------------------------------------------------
 
 
-def multilattice_harmonic_model(spec: LatticeSpec, k: float, r0: float) -> EnergyModel:
+def multilattice_harmonic_model(spec: LatticeSpec, k: float, r0: float | None = None
+                                ) -> EnergyModel:
     """One internal atom per square cell, harmonically tethered.
 
     A bond model over the columns [corners | s]: the four unit edges and the
     four arms from each corner to the internal atom, every bond carrying
     (k/2)(|b| - r)^2 with rest length r = 1 on the edges and r0 = |z_1| (the
-    corner distance) on the arms; s is the offset of the internal atom from
-    the deformed cell mean.
+    corner distance, which ``r0=None`` stands for) on the arms; s is the
+    offset of the internal atom from the deformed cell mean.
     """
     if spec.m != 1:
         raise ValueError("unsupported internal count: model needs m = 1")
@@ -706,6 +709,7 @@ def multilattice_harmonic_model(spec: LatticeSpec, k: float, r0: float) -> Energ
     if not 0 < k < np.inf:                            # NaN fails too
         raise ValueError("spring stiffness must be positive and finite")
     z1 = np.linalg.norm(spec.corners[:, 0])
+    r0 = z1 if r0 is None else r0
     if not abs(r0 - z1) <= 1e-9:
         raise ValueError(f"rest length must equal the corner distance {z1}")
     k, r0 = float(k), float(r0)

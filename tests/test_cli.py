@@ -107,10 +107,15 @@ def test_readme_config_schema_matches_parser(tmp_path, monkeypatch):
     monkeypatch.delenv("CELLHOM_SEED", raising=False)
     parse_config(path)
     schema = json.loads(path.read_text())
-    assert set(schema) == cli._TOP_KEYS
-    assert set(schema["lattice"]) == cli._LATTICE_KEYS
-    assert set(schema["model"]) == cli._MODEL_KEYS
-    assert set(schema["solver"]) == cli._SOLVER_KEYS
+    assert set(schema) == set(cli._SCHEMA)
+    assert set(schema["lattice"]) == set(cli._SCHEMA["lattice"][0])
+    assert set(schema["model"]) == set(cli._SCHEMA["model"][0])
+    assert set(schema["solver"]) == set(cli._SCHEMA["solver"][0])
+    # the "Model names" sentence lists every model and its params in order
+    sentence = readme.split("Model names: ", 1)[1].split(".", 1)[0]
+    listed = {name: [p for p in params.split(", ") if p]
+              for name, params in re.findall(r"`(\w+)`(?: \(([^;)]*))?", sentence)}
+    assert listed == {name: list(params) for name, (params, _) in cli._MODELS.items()}
 
 
 def test_parse_stencil_key_rejected(tmp_path):
@@ -127,7 +132,7 @@ def test_parse_unknown_model_params_rejected(tmp_path):
     for model in ({"name": "harmonic", "params": {"k": 1.0, "r_0": 1.3}},
                   {"name": "pair_lj", "params": {"cutof": 1.5}}):
         path = write_config(tmp_path, model=model)
-        with pytest.raises(ValueError, match="unknown model params"):
+        with pytest.raises(ValueError, match="unknown keys in model params"):
             parse_config(path)
 
 
@@ -482,6 +487,49 @@ def test_main_reports_rejected_config(tmp_path, monkeypatch, capsys, overrides, 
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == message + "\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"model": {"name": "harmonic", "params": {"k": "1"}}},
+     "model params k must be a JSON number"),
+    ({"model": {"name": "harmonic", "params": {"k": True}}},
+     "model params k must be a JSON number"),
+    ({"model": {"name": "quadratic_form", "params": {"mu": "1"}}},
+     "model params mu must be a JSON number"),
+    ({"model": {"name": "pair_harmonic", "params": {"shell": "1"}}},
+     "model params shell must be a JSON number or null"),
+    ({"solver": {"grad_tol": "1e-8"}}, "solver grad_tol must be a JSON number"),
+    ({"M": [{"a": 1}]}, "each M value must be a JSON number"),
+    ({**_MULTILATTICE, "s0": [{"x": 1}]}, "each s0 value must be a JSON number"),
+    ({"lattice": {"d": 2, "A": [["1", 0], [0, 1]]}}, "each lattice A value must be a JSON number"),
+    ({"M": [["1.1", 0, 0, 1]]}, "each M value must be a JSON number"),
+    ({"seed": "abc"}, "seed must be a JSON integer"),
+], ids=["k-string", "k-bool", "mu-string", "shell-string", "grad_tol-string", "M-object",
+        "s0-object", "A-string", "M-string", "seed-string"])
+def test_main_rejects_value_of_wrong_type(tmp_path, monkeypatch, capsys, overrides, message):
+    # each used to end in a traceback, or, for the strings in A and M and a
+    # seed that CELLHOM_SEED overrides, to run without a word
+    monkeypatch.setenv("CELLHOM_SEED", "0")
+    path = write_config(tmp_path, **overrides)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"model": {"name": "pair_harmonic", "params": {"k": 2, "r0": 1, "cutoff": 1.5,
+                                                   "shell": None}}},
+    {**_MULTILATTICE, "s0": None, "model": {"name": "multilattice_harmonic",
+                                           "params": {"k": 1, "r0": 0.5 ** 0.5}}},
+    {"lattice": {"d": 2, "A": [[1, 0], [0, 1]], "m": 0}, "M": [[[1, 0], [0, 1]]],
+     "solver": {"grad_tol": 1, "max_iter": 10, "n_random_starts": 0}},
+], ids=["shell-null", "s0-null", "integer-numbers"])
+def test_parse_accepts_null_and_integer_numbers(tmp_path, overrides):
+    # null where a key admits it, integers where numbers belong and a nested
+    # M entry read as they always did
+    config = parse_config(write_config(tmp_path, **overrides))
+    assert config.s0_list is None
+    assert config.M_list[0].dtype == float
 
 
 def test_main_rejects_retired_validate(capsys):

@@ -30,6 +30,16 @@ def test_f_N_tension_exact(harmonic):
     assert f == pytest.approx(0.04 * 36 / 64, abs=1e-12)
 
 
+def test_f_N_is_in_density_units_on_a_triangular_lattice():
+    # f_N is the per-N records' f_N, energy / N^d / |det A|; it used to leave
+    # out |det A| = sqrt(3)/2, so results.csv and f_N disagreed here
+    spec = build_lattice(2, np.array([[1.0, 0.5], [0.0, np.sqrt(3) / 2]]))
+    model = pair_potential_model(spec, lennard_jones(1.0, 2 ** (-1 / 6)), 1.8)
+    opts = SolveOptions(n_random_starts=0)
+    per_N, _ = tiling_upper_bound_check(model, np.eye(2), [6, 12], opts)
+    assert f_N(model, np.eye(2), 6, opts) == per_N[0]["f_N"]
+
+
 def test_f_N_rotation(harmonic):
     assert f_N(harmonic, rotation(np.pi / 6), 8, FAST) <= 1e-12
 

@@ -479,6 +479,26 @@ def test_check_quadratic_form_accepts_moduli():
     check_quadratic_form(QuadraticForm.from_moduli(2.0, 1.0))
 
 
+def test_quadratic_form_reads_only_the_symmetric_part_of_H(square_spec):
+    # H and H + K - K^T store one Q; the growth constants used to read one
+    # triangle of H, (0.05, 64, 72) here for (0.05, 32, 40), and the gate's
+    # tolerances its antisymmetric part too, which let this Q through
+    Q = QuadraticForm.from_moduli(1.0, 0.5)
+    K = np.zeros((4, 4))
+    K[0, 3], K[3, 0] = 5.0, -5.0
+    plain, skew = (quadratic_form_model(square_spec, q)
+                   for q in (Q, QuadraticForm(2, Q.H + K)))
+    assert plain.growth == skew.growth == (0.05, 32.0, 40.0)
+    F = np.diag([1.1, 0.9]) @ square_spec.corners
+    assert skew.energy(F) == pytest.approx(plain.energy(F), rel=1e-14)
+    assert plain.energy(F) == pytest.approx(0.02, rel=1e-12)
+    a = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)      # vec of an antisymmetric matrix
+    H = Q.H - 5e-9 * np.outer(a, a)                       # Q(a) = -2.5e-9 < 0
+    for stored in (H, H + 20 * K):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            check_quadratic_form(QuadraticForm(2, stored))
+
+
 def loop_moduli(mu, lam, d):
     """H of Q(M) = mu |sym M|^2 + (lam/2)(tr M)^2, entry by entry."""
     H = np.zeros((d * d, d * d))
